@@ -10,12 +10,8 @@ package querc_test
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"querc"
 	"querc/internal/advisor"
@@ -171,412 +167,6 @@ func BenchmarkTable2PerAccount(b *testing.B) {
 	}
 	b.ReportMetric(dupAcc*100, "dup-account-%")
 	b.ReportMetric(sepAcc*100, "sep-account-%")
-}
-
-// ---------- Runtime: serial vs batch submission ----------
-
-// ingestBench holds the shared fixture for the Submit/SubmitBatch family: a
-// 10k-query synthetic multi-user workload and a trained classifier, built
-// once so the benchmarks race over identical work. mkMulti builds the
-// shared-embedder scenario — four labeling tasks on one embedder — either on
-// the embedding plane (shared=true) or with the embedder hidden behind four
-// distinct names, which reproduces the pre-plane per-classifier embedding
-// cost (shared=false).
-var ingestBench struct {
-	once    sync.Once
-	sqls    []string
-	mk      func() *querc.Service
-	mkMulti func(shared bool) *querc.Service
-	err     error
-}
-
-// benchLabelKeys are the four per-tenant labeling tasks of the
-// shared-embedder scenario.
-var benchLabelKeys = []string{"user", "team", "route", "risk"}
-
-// renamedEmbedder hides the identity (and BatchEmbedder fast path) of its
-// inner embedder so classifiers wrapping one cannot share vectors.
-type renamedEmbedder struct {
-	inner querc.Embedder
-	name  string
-}
-
-func (r renamedEmbedder) Embed(sql string) querc.Vector { return r.inner.Embed(sql) }
-func (r renamedEmbedder) Dim() int                      { return r.inner.Dim() }
-func (r renamedEmbedder) Name() string                  { return r.name }
-
-func ingestBenchSetup(b *testing.B) ([]string, func() *querc.Service) {
-	b.Helper()
-	ingestBench.once.Do(func() {
-		gen := snowgen.Generate(snowgen.Options{
-			Accounts: []snowgen.AccountSpec{
-				{Name: "acct", Users: 16, Queries: 10000, SharedFraction: 0.3, Dialect: snowgen.DialectSnow},
-			},
-			Seed: 42,
-		})
-		sqls := make([]string, len(gen))
-		users := make([]string, len(gen))
-		for i, q := range gen {
-			sqls[i] = q.SQL
-			users[i] = q.User
-		}
-		cfg := doc2vec.DefaultConfig()
-		cfg.Dim = 16
-		cfg.Epochs = 2
-		emb, err := querc.TrainDoc2Vec("ingest-bench", sqls[:1500], cfg)
-		if err != nil {
-			ingestBench.err = err
-			return
-		}
-		lab := &querc.NearestCentroidLabeler{}
-		if err := lab.Fit(querc.EmbedAll(emb, sqls[:1500], 0), users[:1500]); err != nil {
-			ingestBench.err = err
-			return
-		}
-		ingestBench.sqls = sqls
-		ingestBench.mk = func() *querc.Service {
-			svc := querc.NewService()
-			svc.AddApplication("acct", 256, nil)
-			if err := svc.Deploy("acct", &querc.Classifier{LabelKey: "user", Embedder: emb, Labeler: lab}); err != nil {
-				panic(err)
-			}
-			return svc
-		}
-		ingestBench.mkMulti = func(shared bool) *querc.Service {
-			svc := querc.NewService()
-			svc.AddApplication("acct", 256, nil)
-			for i, key := range benchLabelKeys {
-				e := emb
-				if !shared {
-					e = renamedEmbedder{inner: emb, name: fmt.Sprintf("ingest-bench#%d", i)}
-				}
-				if err := svc.Deploy("acct", &querc.Classifier{LabelKey: key, Embedder: e, Labeler: lab}); err != nil {
-					panic(err)
-				}
-			}
-			return svc
-		}
-	})
-	if ingestBench.err != nil {
-		b.Fatal(ingestBench.err)
-	}
-	return ingestBench.sqls, ingestBench.mk
-}
-
-// BenchmarkSubmit measures the strictly serial Qworker path: one Submit call
-// per query over the full 10k-query workload.
-func BenchmarkSubmit(b *testing.B) {
-	sqls, mk := ingestBenchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		svc := mk()
-		for _, sql := range sqls {
-			if _, err := svc.Submit("acct", sql); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.ReportMetric(float64(len(sqls)*b.N)/b.Elapsed().Seconds(), "q/s")
-}
-
-// BenchmarkSubmitBatch measures the concurrent batch pipeline on the same
-// workload with a 4-way worker pool (the acceptance point of the batch
-// runtime work; raise -cpu to see the multi-core fan-out on top of the
-// per-batch classification sharing).
-func BenchmarkSubmitBatch(b *testing.B) {
-	sqls, mk := ingestBenchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		svc := mk()
-		out, err := svc.SubmitBatch("acct", sqls, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(out) != len(sqls) {
-			b.Fatalf("batch output: %d", len(out))
-		}
-	}
-	b.ReportMetric(float64(len(sqls)*b.N)/b.Elapsed().Seconds(), "q/s")
-}
-
-// BenchmarkSubmitBatchDriftSampling measures the drift plane's hot-path
-// overhead: the same 10k-query workload and pipeline as
-// BenchmarkSubmitBatch, but with drift sampling enabled on the worker and
-// the stream split across two controller ticks so both detector paths run —
-// the first tick establishes the baseline, the second drains a sample and
-// scores it. The threshold is set unreachably high so the (deliberately
-// expensive) retrain path stays out of the measurement. Acceptance for the
-// drift-plane work: within 5% of BenchmarkSubmitBatch throughput.
-func BenchmarkSubmitBatchDriftSampling(b *testing.B) {
-	sqls, mk := ingestBenchSetup(b)
-	half := len(sqls) / 2
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		svc := mk()
-		ctl := svc.EnableDriftControl(querc.ControllerConfig{Threshold: 2})
-		n := 0
-		for _, part := range [][]string{sqls[:half], sqls[half:]} {
-			out, err := svc.SubmitBatch("acct", part, 4)
-			if err != nil {
-				b.Fatal(err)
-			}
-			n += len(out)
-			ctl.Tick()
-		}
-		if n != len(sqls) {
-			b.Fatalf("batch output: %d", n)
-		}
-	}
-	b.ReportMetric(float64(len(sqls)*b.N)/b.Elapsed().Seconds(), "q/s")
-}
-
-// BenchmarkSubmitBatchSharedEmbedder measures the embedding plane at the
-// acceptance point of the shared-plane refactor: four labeling tasks on ONE
-// shared embedder over the 10k-query workload. Each distinct text is
-// embedded once and its vector fanned to all four labelers; compare against
-// BenchmarkSubmitBatchPerClassifierEmbed, which reproduces the pre-plane
-// per-classifier embedding cost (target: ≥2× throughput for this benchmark).
-func BenchmarkSubmitBatchSharedEmbedder(b *testing.B) {
-	sqls, _ := ingestBenchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		svc := ingestBench.mkMulti(true)
-		out, err := svc.SubmitBatch("acct", sqls, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(out) != len(sqls) {
-			b.Fatalf("batch output: %d", len(out))
-		}
-	}
-	b.ReportMetric(float64(len(sqls)*b.N)/b.Elapsed().Seconds(), "q/s")
-}
-
-// BenchmarkSubmitBatchPerClassifierEmbed is the pre-embedding-plane
-// baseline: the same four labeling tasks, but the shared model hidden behind
-// four distinct embedder names so every classifier embeds for itself.
-func BenchmarkSubmitBatchPerClassifierEmbed(b *testing.B) {
-	sqls, _ := ingestBenchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		svc := ingestBench.mkMulti(false)
-		out, err := svc.SubmitBatch("acct", sqls, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(out) != len(sqls) {
-			b.Fatalf("batch output: %d", len(out))
-		}
-	}
-	b.ReportMetric(float64(len(sqls)*b.N)/b.Elapsed().Seconds(), "q/s")
-}
-
-// ---------- Scheduling plane: dispatch overhead ----------
-
-// dispatchBench pushes the shared 10k-query workload through the Qworker
-// plane with the given downstream edge: a bare Forward callback (the
-// pre-scheduling-plane status quo) or a dispatcher built by mkSched. The
-// executor is a no-op, so the measured delta between the variants is pure
-// admission + queue + dispatch overhead. Acceptance for the scheduling
-// plane: the dispatcher variants within 5% of bare-Forward throughput.
-func dispatchBench(b *testing.B, mkSched func() *querc.Dispatcher) {
-	sqls, mk := ingestBenchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		svc := mk()
-		var forwarded atomic.Int64
-		var d *querc.Dispatcher
-		if mkSched == nil {
-			svc.Worker("acct").SetForward(func(*querc.LabeledQuery) { forwarded.Add(1) })
-		} else {
-			d = mkSched()
-			svc.AttachScheduler(d)
-		}
-		out, err := svc.SubmitBatch("acct", sqls, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(out) != len(sqls) {
-			b.Fatalf("batch output: %d", len(out))
-		}
-		if d != nil {
-			d.Close()
-			if err := d.Drain(time.Minute); err != nil {
-				b.Fatal(err)
-			}
-			if st := d.Stats(); st.Completed != uint64(len(sqls)) {
-				b.Fatalf("dispatched %d of %d", st.Completed, len(sqls))
-			}
-		} else if forwarded.Load() != int64(len(sqls)) {
-			b.Fatalf("forwarded %d of %d", forwarded.Load(), len(sqls))
-		}
-	}
-	b.ReportMetric(float64(len(sqls)*b.N)/b.Elapsed().Seconds(), "q/s")
-}
-
-// noopSchedCfg returns a dispatcher config with a no-op executor and a
-// backlog bound big enough that the 10k-query benchmark never backpressures.
-func noopSchedCfg(policy querc.SchedulerPolicy) querc.SchedulerConfig {
-	return querc.SchedulerConfig{
-		Policy:   policy,
-		QueueCap: 1 << 15,
-		Backends: []querc.SchedBackend{
-			{Name: "b1", Slots: 2, Exec: func(*querc.SchedTask) error { return nil }},
-		},
-	}
-}
-
-// BenchmarkDispatchBareForward is the scheduling-plane baseline: the same
-// workload and Qworker pipeline, forwarded into a counting callback.
-func BenchmarkDispatchBareForward(b *testing.B) {
-	dispatchBench(b, nil)
-}
-
-// BenchmarkDispatchFIFO measures the full plane under the FIFO policy: one
-// queue, admission + dispatch + SLA accounting per query.
-func BenchmarkDispatchFIFO(b *testing.B) {
-	dispatchBench(b, func() *querc.Dispatcher {
-		d, err := querc.NewDispatcher(noopSchedCfg(querc.FIFOPolicy{}))
-		if err != nil {
-			b.Fatal(err)
-		}
-		return d
-	})
-}
-
-// BenchmarkDispatchLabelDriven measures the label-driven policy: per-class
-// queues keyed by the predicted user label (16 classes on this workload),
-// deadline ordering, and affinity resolution per query.
-func BenchmarkDispatchLabelDriven(b *testing.B) {
-	dispatchBench(b, func() *querc.Dispatcher {
-		d, err := querc.NewDispatcher(noopSchedCfg(&querc.LabelPolicy{ClassKey: "user"}))
-		if err != nil {
-			b.Fatal(err)
-		}
-		return d
-	})
-}
-
-// BenchmarkDispatchMemoryAware measures the memory plane's hot-path tax on
-// the common case: memory-aware admission against a budgeted backend over a
-// workload with no memory labels (MemMB 0), so every query pays the two
-// extra label parses in Enqueue plus the budget gate in every pick, but
-// nothing ever defers. The acceptance bar is the same ≤5% dispatch budget
-// as the other variants; deferral behavior itself is covered by
-// quercbench -experiment memory and the sched unit tests.
-func BenchmarkDispatchMemoryAware(b *testing.B) {
-	dispatchBench(b, func() *querc.Dispatcher {
-		cfg := noopSchedCfg(querc.FIFOPolicy{})
-		cfg.MemoryAware = true
-		cfg.Backends[0].MemoryMB = 1 << 20
-		d, err := querc.NewDispatcher(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return d
-	})
-}
-
-// BenchmarkDispatchRetry measures the failure plane's retry/deadline tax on
-// the common case: retries and per-query deadlines armed, over a workload
-// where every attempt succeeds — so each query pays the per-task state
-// allocation, deadline stamping, and cancel bookkeeping in Enqueue and
-// completeAttempt, but nothing ever retries. The acceptance bar is the same
-// ≤5% dispatch budget as the other variants; retry behavior itself is
-// covered by quercbench -experiment chaos and the sched unit tests.
-func BenchmarkDispatchRetry(b *testing.B) {
-	dispatchBench(b, func() *querc.Dispatcher {
-		cfg := noopSchedCfg(querc.FIFOPolicy{})
-		cfg.Deadline = time.Minute
-		cfg.Retry = &querc.SchedRetryConfig{MaxRetries: 2}
-		d, err := querc.NewDispatcher(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return d
-	})
-}
-
-// BenchmarkDispatchBreaker measures the circuit breaker's hot-path tax: a
-// per-backend health EWMA folds in every attempt and the pick path consults
-// the breaker gate, but the backend stays healthy so the breaker never
-// trips. Same ≤5% dispatch budget; trip/steer behavior is covered by
-// quercbench -experiment chaos and the sched unit tests.
-func BenchmarkDispatchBreaker(b *testing.B) {
-	dispatchBench(b, func() *querc.Dispatcher {
-		cfg := noopSchedCfg(querc.FIFOPolicy{})
-		cfg.Breaker = &querc.SchedBreakerConfig{}
-		d, err := querc.NewDispatcher(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return d
-	})
-}
-
-// BenchmarkSubmitBatchTraced measures the lifecycle tracer's hot-path tax
-// on the annotate pipeline: the same workload and batch fan-out as
-// BenchmarkSubmitBatch with tracing on at the production-default 1%
-// sampling — every query pays the deterministic sampling hash, one in a
-// hundred carries a pooled trace through tokenize/embed/label. Acceptance
-// for the observability-plane work: within 5% of BenchmarkSubmitBatch
-// (quercbench -experiment observe gates the same bound end to end).
-func BenchmarkSubmitBatchTraced(b *testing.B) {
-	sqls, mk := ingestBenchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		svc := mk()
-		svc.EnableTracing(querc.TracerConfig{SampleRate: 0.01, RingSize: 1024})
-		out, err := svc.SubmitBatch("acct", sqls, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(out) != len(sqls) {
-			b.Fatalf("batch output: %d", len(out))
-		}
-	}
-	b.ReportMetric(float64(len(sqls)*b.N)/b.Elapsed().Seconds(), "q/s")
-}
-
-// BenchmarkDispatchObserved measures the observability plane's dispatch
-// tax with everything lit: the dispatcher's counters live in the shared
-// metrics registry, 1% lifecycle tracing marks attempts and settles, and
-// every terminal outcome emits a structured audit event. Same ≤5% dispatch
-// budget as the other variants, against BenchmarkDispatchFIFO.
-func BenchmarkDispatchObserved(b *testing.B) {
-	sqls, mk := ingestBenchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		svc := mk()
-		svc.EnableTracing(querc.TracerConfig{SampleRate: 0.01, RingSize: 1024})
-		auditor := querc.NewAuditor(io.Discard)
-		cfg := noopSchedCfg(querc.FIFOPolicy{})
-		cfg.Metrics = svc.Metrics()
-		cfg.Audit = auditor
-		d, err := querc.NewDispatcher(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		svc.AttachScheduler(d)
-		out, err := svc.SubmitBatch("acct", sqls, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(out) != len(sqls) {
-			b.Fatalf("batch output: %d", len(out))
-		}
-		d.Close()
-		if err := d.Drain(time.Minute); err != nil {
-			b.Fatal(err)
-		}
-		if st := d.Stats(); st.Completed != uint64(len(sqls)) {
-			b.Fatalf("dispatched %d of %d", st.Completed, len(sqls))
-		}
-		if err := auditor.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(sqls)*b.N)/b.Elapsed().Seconds(), "q/s")
 }
 
 // ---------- Ablations ----------

@@ -3,33 +3,29 @@
 //
 // Usage:
 //
-//	quercbench -experiment fig3|fig4|table1|table2|ingest|train|drift|sched|chaos|memory|observe|all [-scale small|paper] [-csv dir] [-workers n]
+//	quercbench -experiment fig3|fig4|table1|table2|train|drift|sched|chaos|memory|all [-scale small|paper] [-csv dir] [-workers n]
 //
 // Results print as text tables shaped like the paper's artifacts; -csv also
-// writes machine-readable series for plotting. The ingest experiment
-// measures serial Submit against the concurrent SubmitBatch pipeline on a
-// synthetic multi-user workload (-workers sets the batch fan-out). The
-// drift experiment replays a workload with a mid-stream tenant-mix shift
-// and reports classifier accuracy over time with the drift control loop on
-// vs off, including how much of the accuracy lost to the shift the loop
-// recovers. The train experiment sweeps the parallel (Hogwild) training
-// plane over worker counts, reporting wall-clock speedup and downstream
-// labeling accuracy. The sched experiment replays a mixed multi-tenant
-// workload through the scheduling plane under the FIFO baseline vs the
-// label-driven policy and reports per-class SLA violations, latency
-// percentiles, and throughput for both. The chaos experiment replays a
-// workload carrying a correlated transient-failure label stream against
-// fault-injecting backends (a down window, a brownout, seeded errors and
-// stragglers) with the failure plane off vs on, and gates on the conservation
-// ledger balancing and on deadlines/retries/hedges/breakers recovering most
-// of the fault-free SLA compliance. The memory experiment replays a
-// mixed-size workload through slot-only vs memory-aware admission against
-// per-backend working-set budgets and reports OOM-class violations and
-// throughput for both. The observe experiment replays the same workload
-// through the Submit pipeline and the dispatch loop with the observability
-// plane quiet vs fully lit (1% lifecycle tracing plus the structured audit
-// stream) and gates on the lit run keeping at least 95% of the quiet
-// throughput on both hot paths.
+// writes machine-readable series for plotting; -workers sets the batch
+// fan-out of the drift, sched and memory replays. The drift experiment
+// replays a workload with a mid-stream tenant-mix shift and reports
+// classifier accuracy over time with the drift control loop on vs off,
+// including how much of the accuracy lost to the shift the loop recovers.
+// The train experiment sweeps the parallel (Hogwild) training plane over
+// worker counts, reporting wall-clock speedup and downstream labeling
+// accuracy. The sched experiment replays a mixed multi-tenant workload
+// through the scheduling plane under the FIFO baseline vs the label-driven
+// policy and reports per-class SLA violations, latency percentiles, and
+// throughput for both. The chaos experiment replays a workload carrying a
+// correlated transient-failure label stream against fault-injecting backends
+// (a down window, a brownout, seeded errors and stragglers) with the failure
+// plane off vs on, and gates on the conservation ledger balancing and on
+// deadlines/retries/hedges/breakers recovering most of the fault-free SLA
+// compliance. The memory experiment replays a mixed-size workload through
+// slot-only vs memory-aware admission against per-backend working-set
+// budgets and reports OOM-class violations and throughput for both.
+// Per-layer and end-to-end cost of the labeling service is measured by the
+// bench/ harness, not here.
 package main
 
 import (
@@ -42,19 +38,17 @@ import (
 	"strconv"
 	"time"
 
-	"querc"
 	"querc/internal/experiments"
-	"querc/internal/snowgen"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("quercbench: ")
 	var (
-		experiment = flag.String("experiment", "all", "fig3, fig4, table1, table2, ingest, train, drift, sched, chaos, memory, observe, or all")
+		experiment = flag.String("experiment", "all", "fig3, fig4, table1, table2, train, drift, sched, chaos, memory, or all")
 		scaleFlag  = flag.String("scale", "small", "small (minutes) or paper (hours)")
 		csvDir     = flag.String("csv", "", "directory to write CSV series into (optional)")
-		workers    = flag.Int("workers", 8, "batch fan-out for the ingest experiment")
+		workers    = flag.Int("workers", 8, "batch fan-out for the drift, sched and memory experiments")
 	)
 	flag.Parse()
 	scale := experiments.Scale(*scaleFlag)
@@ -102,8 +96,6 @@ func main() {
 			experiments.WriteTable2(os.Stdout, labeling)
 			return nil
 		})
-	case "ingest":
-		run("Ingest throughput", func() error { return runIngest(scale, *workers) })
 	case "train":
 		run("Parallel training", func() error { return runTrain(scale) })
 	case "drift":
@@ -114,16 +106,12 @@ func main() {
 		run("Failure plane", func() error { return runChaos(scale, *csvDir) })
 	case "memory":
 		run("Memory plane", func() error { return runMemory(scale, *workers, *csvDir) })
-	case "observe":
-		run("Observability overhead", func() error { return runObserve(scale, *workers) })
 	case "all":
-		run("Ingest throughput", func() error { return runIngest(scale, *workers) })
 		run("Parallel training", func() error { return runTrain(scale) })
 		run("Drift recovery", func() error { return runDrift(scale, *workers, *csvDir) })
 		run("Scheduling plane", func() error { return runSched(scale, *workers, *csvDir) })
 		run("Failure plane", func() error { return runChaos(scale, *csvDir) })
 		run("Memory plane", func() error { return runMemory(scale, *workers, *csvDir) })
-		run("Observability overhead", func() error { return runObserve(scale, *workers) })
 		run("Figure 3", func() error { return runFig3(scale, *csvDir) })
 		run("Figure 4", func() error { return runFig4(scale, *csvDir) })
 		run("Tables 1 & 2", func() error {
@@ -139,146 +127,6 @@ func main() {
 		log.Fatalf("unknown experiment %q", *experiment)
 	}
 }
-
-// runIngest measures end-to-end Qworker throughput: the same labeled
-// workload is pushed through the serial Submit path and through the
-// concurrent SubmitBatch pipeline, and both must leave identical state in
-// the training module. This is the runtime half of the paper's Fig. 1 —
-// Qworkers "can be load balanced and parallelized in the usual ways".
-func runIngest(scale experiments.Scale, workers int) error {
-	nQueries := 10000
-	if scale == experiments.ScalePaper {
-		nQueries = 100000
-	}
-	gen := snowgen.Generate(snowgen.Options{
-		Accounts: []snowgen.AccountSpec{
-			{Name: "acct", Users: 16, Queries: nQueries, SharedFraction: 0.3, Dialect: snowgen.DialectSnow},
-		},
-		Seed: 42,
-	})
-	sqls := make([]string, len(gen))
-	for i, q := range gen {
-		sqls[i] = q.SQL
-	}
-
-	// Train a small embedder + labeler on a subset, the deployed classifier
-	// every submitted query passes through.
-	subN := 1500
-	if subN > len(gen) {
-		subN = len(gen)
-	}
-	cfg := querc.DefaultDoc2VecConfig()
-	cfg.Dim = 16
-	cfg.Epochs = 2
-	emb, err := querc.TrainDoc2Vec("ingest", sqls[:subN], cfg)
-	if err != nil {
-		return err
-	}
-	lab := &querc.NearestCentroidLabeler{}
-	users := make([]string, subN)
-	for i := 0; i < subN; i++ {
-		users[i] = gen[i].User
-	}
-	if err := lab.Fit(querc.EmbedAll(emb, sqls[:subN], workers), users); err != nil {
-		return err
-	}
-
-	mkService := func() *querc.Service {
-		svc := querc.NewService()
-		svc.AddApplication("acct", 256, nil)
-		if err := svc.Deploy("acct", &querc.Classifier{LabelKey: "user", Embedder: emb, Labeler: lab}); err != nil {
-			panic(err)
-		}
-		return svc
-	}
-
-	serial := mkService()
-	start := time.Now()
-	for _, sql := range sqls {
-		if _, err := serial.Submit("acct", sql); err != nil {
-			return err
-		}
-	}
-	serialDur := time.Since(start)
-
-	batch := mkService()
-	start = time.Now()
-	out, err := batch.SubmitBatch("acct", sqls, workers)
-	if err != nil {
-		return err
-	}
-	batchDur := time.Since(start)
-
-	if len(out) != len(sqls) || batch.Training().Size("acct") != serial.Training().Size("acct") {
-		return fmt.Errorf("ingest: batch state diverged (out=%d training=%d/%d)",
-			len(out), batch.Training().Size("acct"), serial.Training().Size("acct"))
-	}
-	serialQPS := float64(len(sqls)) / serialDur.Seconds()
-	batchQPS := float64(len(sqls)) / batchDur.Seconds()
-	fmt.Printf("queries:             %d\n", len(sqls))
-	fmt.Printf("serial Submit:       %10s  %12.0f q/s\n", serialDur.Round(time.Millisecond), serialQPS)
-	fmt.Printf("SubmitBatch (w=%2d):  %10s  %12.0f q/s\n", workers, batchDur.Round(time.Millisecond), batchQPS)
-	fmt.Printf("speedup:             %.2fx\n", serialDur.Seconds()/batchDur.Seconds())
-
-	// Shared-embedder scenario: four labeling tasks on ONE embedder — the
-	// paper's central bet (embedders are expensive and shared across
-	// applications, labelers are cheap and per-tenant). The baseline wraps
-	// the same trained model under four distinct names, which defeats the
-	// embedding plane's grouping and cache sharing and therefore reproduces
-	// the pre-plane embed-per-classifier cost.
-	labelKeys := []string{"user", "team", "route", "risk"}
-	mkMulti := func(shared bool) *querc.Service {
-		svc := querc.NewService()
-		svc.AddApplication("acct", 256, nil)
-		for i, key := range labelKeys {
-			e := emb
-			if !shared {
-				e = renamedEmbedder{inner: emb, name: fmt.Sprintf("%s#%d", emb.Name(), i)}
-			}
-			if err := svc.Deploy("acct", &querc.Classifier{LabelKey: key, Embedder: e, Labeler: lab}); err != nil {
-				panic(err)
-			}
-		}
-		return svc
-	}
-
-	perClf := mkMulti(false)
-	start = time.Now()
-	if _, err := perClf.SubmitBatch("acct", sqls, workers); err != nil {
-		return err
-	}
-	perClfDur := time.Since(start)
-
-	shared := mkMulti(true)
-	start = time.Now()
-	if _, err := shared.SubmitBatch("acct", sqls, workers); err != nil {
-		return err
-	}
-	sharedDur := time.Since(start)
-
-	st := shared.VectorCache().Stats()
-	fmt.Printf("\n%d classifiers, 1 embedder (embedding plane):\n", len(labelKeys))
-	fmt.Printf("per-classifier embed: %10s  %12.0f q/s\n", perClfDur.Round(time.Millisecond),
-		float64(len(sqls))/perClfDur.Seconds())
-	fmt.Printf("shared embed plane:   %10s  %12.0f q/s\n", sharedDur.Round(time.Millisecond),
-		float64(len(sqls))/sharedDur.Seconds())
-	fmt.Printf("speedup:              %.2fx\n", perClfDur.Seconds()/sharedDur.Seconds())
-	fmt.Printf("vector cache:         %d hits / %d misses (%.0f%% hit rate), %d entries\n",
-		st.Hits, st.Misses, 100*st.HitRate(), st.Entries)
-	return nil
-}
-
-// renamedEmbedder hides the identity of its inner embedder (and its
-// BatchEmbedder fast path), so every classifier wrapping one pays its own
-// embedding cost — the pre-embedding-plane baseline.
-type renamedEmbedder struct {
-	inner querc.Embedder
-	name  string
-}
-
-func (r renamedEmbedder) Embed(sql string) querc.Vector { return r.inner.Embed(sql) }
-func (r renamedEmbedder) Dim() int                      { return r.inner.Dim() }
-func (r renamedEmbedder) Name() string                  { return r.name }
 
 func runFig3(scale experiments.Scale, csvDir string) error {
 	res, err := experiments.RunFig3(experiments.DefaultFig3Config(scale))

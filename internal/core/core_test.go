@@ -296,9 +296,19 @@ func TestServiceSubmitBatch(t *testing.T) {
 			t.Fatalf("annotations lost at %d: %+v", i, q)
 		}
 	}
-	// Every batched query forked into the training module.
-	if got := s.Training().Size("X"); got != 300 {
-		t.Fatalf("training size: %d", got)
+	// Every batched query forked into the training module, exactly as the
+	// serial Submit path forks them.
+	serial := NewService()
+	serial.AddApplication("X", 8, nil)
+	serial.Deploy("X", &Classifier{LabelKey: "k", Embedder: stubEmbedder{8},
+		Labeler: &RuleLabeler{RuleName: "r", Rule: func(vec.Vector) string { return "ok" }}})
+	for _, sql := range sqls {
+		if _, err := serial.Submit("X", sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := s.Training().Size("X"), serial.Training().Size("X"); got != 300 || got != want {
+		t.Fatalf("training size: batch %d, serial %d, want 300", got, want)
 	}
 	// Deploy during a second concurrent batch (exercised under -race).
 	var wg sync.WaitGroup

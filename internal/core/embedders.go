@@ -10,12 +10,11 @@ import (
 	"querc/internal/vec"
 )
 
-// TokenizeForEmbedding is the canonical normalization applied to query text
-// before embedding: case folding only. Literals are preserved — constants
-// carry user/application signal that the labeling experiments (§5.2) rely
-// on — while comments are dropped.
+// TokenizeForEmbedding lexes query text under sqllex.EmbeddingOptions, the
+// one normalization applied before embedding (case folded, comments dropped,
+// literals kept for the labeling experiments of §5.2).
 func TokenizeForEmbedding(sql string) []string {
-	return sqllex.Strings(sql, sqllex.Options{FoldCase: true})
+	return sqllex.Strings(sql, sqllex.EmbeddingOptions())
 }
 
 // Doc2VecEmbedder adapts a trained doc2vec model to the Embedder interface.

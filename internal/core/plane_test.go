@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"querc/internal/doc2vec"
+	"querc/internal/ml/forest"
 	"querc/internal/vec"
 )
 
@@ -518,10 +519,12 @@ func (s stringOnlyEmbedder) Embed(sql string) vec.Vector { return s.inner.Embed(
 func (s stringOnlyEmbedder) Dim() int                    { return s.inner.Dim() }
 func (s stringOnlyEmbedder) Name() string                { return s.inner.Name() }
 
-// TestSubmitAllocsWarmCache pins the runtime-layer allocation budget of the
+// TestSubmitAllocsWarmCache pins the exact allocation count of the
 // per-query Submit path when the embedding plane hits the shared vector
-// cache: the labeled query, its labels map, the training fork's clone, and
-// the label formatting — but no tokenization and no embedding.
+// cache. The 9 are: the submitted LabeledQuery (1); its labels map, header
+// plus first group on SetLabel (2); the training fork's Clone, struct plus
+// map header plus group (3); and the test labeler's fmt.Sprintf, two boxed
+// operands plus the result string (3). No tokenization and no embedding.
 func TestSubmitAllocsWarmCache(t *testing.T) {
 	if vec.RaceEnabled {
 		t.Skip("allocation profile differs under the race detector")
@@ -545,7 +548,40 @@ func TestSubmitAllocsWarmCache(t *testing.T) {
 	if e.tokenCalls != tokenCallsAfterWarm {
 		t.Fatal("warm-cache submits must not re-embed")
 	}
-	if allocs > 16 {
-		t.Fatalf("warm-cache Submit allocates %.1f per query, want <= 16", allocs)
+	if allocs > 9 {
+		t.Fatalf("warm-cache Submit allocates %.1f per query, want <= 9", allocs)
+	}
+}
+
+// TestLabelVectorAllocsForest pins the exact allocation count of one
+// Classifier.LabelVector on a trained forest labeler writing a label key the
+// query already carries: the forest's per-call vote slice (1), nothing else.
+func TestLabelVectorAllocsForest(t *testing.T) {
+	if vec.RaceEnabled {
+		t.Skip("allocation profile differs under the race detector")
+	}
+	fl := NewForestLabeler(forest.Config{NumTrees: 10, Seed: 1})
+	var X []vec.Vector
+	var y []string
+	for i := 0; i < 90; i++ {
+		v := vec.New(4)
+		v[i%3] = 1
+		v[3] = float64(i%7) / 7
+		X = append(X, v)
+		y = append(y, fmt.Sprintf("class%d", i%3))
+	}
+	if err := fl.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	c := &Classifier{LabelKey: "k", Embedder: stubEmbedder{4}, Labeler: fl}
+	q := &LabeledQuery{SQL: "select 1"}
+	c.LabelVector(q, X[0]) // the label map and key exist from here on
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		c.LabelVector(q, X[i%len(X)])
+		i++
+	})
+	if allocs > 1 {
+		t.Fatalf("forest LabelVector allocates %.1f per call, want <= 1", allocs)
 	}
 }

@@ -3,12 +3,14 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"querc/internal/core"
+	"querc/internal/obs"
 	"querc/internal/vec"
 )
 
@@ -713,5 +715,63 @@ func TestConcurrentSubmitDeployDispatch(t *testing.T) {
 	want := uint64(submitters*perWorker + 256)
 	if st.Submitted != want || st.Completed != want || st.Rejected != 0 || st.Shed != 0 {
 		t.Fatalf("conservation: %+v (want %d)", st, want)
+	}
+}
+
+// TestEnqueueAllocsArmed pins the exact allocation count of one query from
+// Enqueue through completion with every plane armed, the shape of the bench
+// harness's dispatch_armed workload: label policy over 2 backends with a
+// no-op executor, SLA targets, deadline, retry, breaker, memory-aware
+// admission, a metrics registry, audit to io.Discard and 1% tracing. The
+// query is one the tracer does not sample, so no pooled trace adds jitter.
+// The 9 are the Task, its retry state and cancel entry, the deadline
+// context (4 with its timer), the audit event, and the affinity bucket,
+// which regrows on every push when one query is outstanding at a time (the
+// bench ladder's windowed drive amortises it to about 8).
+func TestEnqueueAllocsArmed(t *testing.T) {
+	if vec.RaceEnabled {
+		t.Skip("allocation profile differs under the race detector")
+	}
+	reg := obs.NewRegistry()
+	auditor := obs.NewAuditor(io.Discard)
+	auditor.Register(reg)
+	tracer := obs.NewTracer(obs.TracerConfig{SampleRate: 0.01})
+	tracer.Register(reg)
+	noop := func(*Task) error { return nil }
+	done := make(chan struct{}, 1)
+	d, err := New(Config{
+		Policy: &LabelPolicy{Route: map[string]string{"c1": "b1", "c2": "b2"}},
+		Backends: []Backend{
+			{Name: "b1", Slots: 1, Exec: noop, MemoryMB: 1 << 20},
+			{Name: "b2", Slots: 1, Exec: noop, MemoryMB: 1 << 20},
+		},
+		ClassOrder:  []string{"light", "medium", "heavy"},
+		SLA:         map[string]time.Duration{"light": 250 * time.Millisecond, "medium": time.Second, "heavy": 30 * time.Second},
+		Deadline:    time.Minute,
+		Retry:       &RetryConfig{MaxRetries: 2},
+		Breaker:     &BreakerConfig{},
+		MemoryAware: true,
+		Metrics:     reg,
+		Audit:       auditor,
+		OnDone:      func(*Task) { done <- struct{}{} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	q := labeled("select a from t where x = 1", "light", "c1")
+	q.SetLabel("memMB", "64")
+	if tracer.Begin(q.App, q.SQL) != nil {
+		t.Fatal("pinned query must not be sampled")
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		q.SetTrace(tracer.Begin(q.App, q.SQL))
+		if err := d.Enqueue(q); err != nil {
+			t.Fatal(err)
+		}
+		<-done
+	})
+	if allocs > 9 {
+		t.Fatalf("armed Enqueue through completion allocates %.1f per query, want <= 9", allocs)
 	}
 }

@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"querc/internal/snowgen"
+	"querc/internal/vec"
 )
 
 func kinds(toks []Token) []Kind {
@@ -191,5 +194,31 @@ func TestIsKeyword(t *testing.T) {
 	}
 	if IsKeyword("lineitem") {
 		t.Fatal("lineitem must not be a keyword")
+	}
+}
+
+// TestTokenizeAllocs pins the exact allocation count of Tokenize under the
+// embedding profile over a fixed 200-query snowgen slice (2115, about 10.6
+// per query): the token slice's append growth plus the lower-cased copies
+// made for words that carry upper case.
+func TestTokenizeAllocs(t *testing.T) {
+	if vec.RaceEnabled {
+		t.Skip("allocation profile differs under the race detector")
+	}
+	gen := snowgen.Generate(snowgen.Options{
+		Accounts: []snowgen.AccountSpec{{Name: "a", Users: 4, Queries: 200, SharedFraction: 0.3, Dialect: snowgen.DialectSnow}},
+		Seed:     1,
+	})
+	if len(gen) != 200 {
+		t.Fatalf("snowgen produced %d queries, want 200", len(gen))
+	}
+	opts := EmbeddingOptions()
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, q := range gen {
+			Tokenize(q.SQL, opts)
+		}
+	})
+	if allocs > 2115 {
+		t.Fatalf("Tokenize allocates %.0f over 200 queries (%.2f per query), want <= 2115", allocs, allocs/200)
 	}
 }
