@@ -169,10 +169,7 @@ func runDrift(scale experiments.Scale, workers int, csvDir string) error {
 // per-batch user-prediction accuracy.
 func replayDrift(st driftStream, emb querc.Embedder, lab querc.Labeler, workers int, loopCfg *querc.ControllerConfig) ([]float64, *querc.Controller, error) {
 	svc := querc.NewService()
-	w := svc.AddApplication("app", 512, nil)
-	// Training data comes exclusively from ground-truth log imports: the
-	// Qworker fork would feed the classifier its own predictions back.
-	w.Sink, w.BatchSink = nil, nil
+	svc.AddApplication("app", 512, nil)
 	// Retention keeps the training set tracking recent traffic, so gated
 	// retrains after the shift train on the new tenant mix.
 	svc.Training().SetRetention("app", 1500)

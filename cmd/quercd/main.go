@@ -21,6 +21,11 @@
 // applications share one embedding-plane vector cache sized by
 // -vector-cache (entries; 0 disables caching).
 //
+// The logs endpoint is the only way into the training module: served
+// queries carry predicted labels and are never retained, so /retrain trains
+// and /v1/stats' trainingSet counts ingested log rows only. Null rows and
+// rows with empty sql are rejected with 400.
+//
 // A net/http/pprof side listener is enabled with -pprof <addr> (off by
 // default; see README "Profiling" for the quickstart). Profiling endpoints
 // are served on their own socket, never on the service address.
@@ -703,6 +708,16 @@ func (s *server) ingestLogs(w http.ResponseWriter, r *http.Request) {
 	if err := json.NewDecoder(r.Body).Decode(&batch); err != nil {
 		httpError(w, http.StatusBadRequest, "body must be a JSON array of labeled queries")
 		return
+	}
+	for i, q := range batch {
+		if q == nil {
+			httpError(w, http.StatusBadRequest, "logs[%d] is null", i)
+			return
+		}
+		if q.SQL == "" {
+			httpError(w, http.StatusBadRequest, "logs[%d] has empty sql", i)
+			return
+		}
 	}
 	s.svc.Training().IngestBatch(app, batch)
 	writeJSON(w, map[string]any{"ingested": len(batch), "retained": s.svc.Training().Size(app)})

@@ -136,8 +136,8 @@ func TestSubmitBatchEndpoint(t *testing.T) {
 			t.Fatalf("annotation missing: %+v", q)
 		}
 	}
-	// Batched queries fork into the training module like serial ones.
-	if got := s.svc.Training().Size("app1"); got != 3 {
+	// Serving leaves the training module to ground-truth log imports.
+	if got := s.svc.Training().Size("app1"); got != 0 {
 		t.Fatalf("training size: %d", got)
 	}
 	if rr := do(t, mux, "POST", "/v1/apps/app1/queries:batch", `{"sqls": []}`); rr.Code != http.StatusBadRequest {
@@ -158,18 +158,27 @@ func (constEmbedder) Dim() int                      { return 1 }
 func (constEmbedder) Name() string                  { return "const" }
 
 func TestErrorPaths(t *testing.T) {
-	_, mux := newTestServer(t)
-	if rr := do(t, mux, "POST", "/v1/apps/ghost/queries", `{"sql":"select 1"}`); rr.Code != http.StatusNotFound {
-		t.Fatalf("unknown app: %d", rr.Code)
+	s, mux := newTestServer(t)
+	for _, tc := range []struct {
+		name, path, body string
+		want             int
+	}{
+		{"unknown app", "/v1/apps/ghost/queries", `{"sql":"select 1"}`, http.StatusNotFound},
+		{"missing sql", "/v1/apps/app1/queries", `{}`, http.StatusBadRequest},
+		{"missing embedder", "/v1/apps/app1/retrain", `{"label":"x","embedder":"missing"}`, http.StatusNotFound},
+		{"bad logs", "/v1/apps/app1/logs", `not json`, http.StatusBadRequest},
+		{"null log row", "/v1/apps/app1/logs", `[null]`, http.StatusBadRequest},
+		{"null after valid row", "/v1/apps/app1/logs", `[{"sql":"select 1"},null]`, http.StatusBadRequest},
+		{"empty log sql", "/v1/apps/app1/logs", `[{"sql":"","labels":{"user":"u"}}]`, http.StatusBadRequest},
+		{"missing log sql", "/v1/apps/app1/logs", `[{"labels":{"user":"u"}}]`, http.StatusBadRequest},
+	} {
+		if rr := do(t, mux, "POST", tc.path, tc.body); rr.Code != tc.want {
+			t.Errorf("%s: %d, want %d (%s)", tc.name, rr.Code, tc.want, rr.Body)
+		}
 	}
-	if rr := do(t, mux, "POST", "/v1/apps/app1/queries", `{}`); rr.Code != http.StatusBadRequest {
-		t.Fatalf("missing sql: %d", rr.Code)
-	}
-	if rr := do(t, mux, "POST", "/v1/apps/app1/retrain", `{"label":"x","embedder":"missing"}`); rr.Code != http.StatusNotFound {
-		t.Fatalf("missing embedder: %d", rr.Code)
-	}
-	if rr := do(t, mux, "POST", "/v1/apps/app1/logs", `not json`); rr.Code != http.StatusBadRequest {
-		t.Fatalf("bad logs: %d", rr.Code)
+	// A rejected log batch ingests none of its rows.
+	if got := s.svc.Training().Size("app1"); got != 0 {
+		t.Fatalf("rejected logs retained %d rows", got)
 	}
 }
 

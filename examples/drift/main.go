@@ -55,8 +55,7 @@ func main() {
 	// manually here so the walkthrough is deterministic; a daemon would
 	// call ctl.Start() (quercd: -drift-interval 30s).
 	svc := querc.NewService()
-	worker := svc.AddApplication("acme", 256, nil)
-	worker.Sink, worker.BatchSink = nil, nil // ground truth arrives via log import below
+	svc.AddApplication("acme", 256, nil)
 	svc.Training().SetRetention("acme", 600)
 	if err := svc.Deploy("acme", &querc.Classifier{
 		LabelKey: "user", Embedder: embedder, Labeler: labeler,

@@ -77,6 +77,5 @@ func main() {
 		}
 		fmt.Printf("predicted %-16s actual %-16s%s\n", labeled.Label("user"), q.User, match)
 	}
-	fmt.Printf("%d/%d correct; training module retained %d forked queries\n",
-		correct, len(fresh), svc.Training().Size("acme-stream"))
+	fmt.Printf("%d/%d correct\n", correct, len(fresh))
 }

@@ -318,7 +318,7 @@ func (c *Controller) maybeRetrain(ac *appControl, sc drift.Score, consolidation 
 		return
 	}
 	app, key := sc.App, sc.LabelKey
-	if c.svc.Training().Size(app) < c.cfg.MinTrainingSet {
+	if len(c.svc.Training().TrainingSet(app, key)) < c.cfg.MinTrainingSet {
 		return
 	}
 	var old *Classifier

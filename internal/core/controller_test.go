@@ -88,9 +88,6 @@ func driftTestService(t *testing.T) (*Service, *Qworker) {
 	t.Helper()
 	svc := NewService()
 	w := svc.AddApplication("a", 256, nil)
-	// Training data comes from ground-truth log imports only: the Qworker
-	// fork would mix predicted labels into the training set.
-	w.Sink, w.BatchSink = nil, nil
 	svc.Training().SetRetention("a", 120)
 	emb := byteEmb{dim: 16}
 	texts, users := phasePool("alpha", 10)
@@ -191,8 +188,7 @@ func TestControllerRetrainsOnDrift(t *testing.T) {
 // staying rotten forever.
 func TestControllerRecoversAllKeysOnSharedApp(t *testing.T) {
 	svc := NewService()
-	w := svc.AddApplication("a", 256, nil)
-	w.Sink, w.BatchSink = nil, nil
+	svc.AddApplication("a", 256, nil)
 	svc.Training().SetRetention("a", 120)
 	emb := byteEmb{dim: 16}
 	alphaTexts, alphaUsers := phasePool("alpha", 10)
@@ -271,6 +267,46 @@ func TestControllerRecoversAllKeysOnSharedApp(t *testing.T) {
 	}
 	if q.Label("user") != betaUsers[4] || q.Label("team") != teamOf(betaUsers[4]) {
 		t.Fatalf("post-recovery labels %v, want user=%s team=%s", q.Labels, betaUsers[4], teamOf(betaUsers[4]))
+	}
+}
+
+// TestControllerMinTrainingSetPerKey: MinTrainingSet counts the drifted
+// key's labeled rows, not the app's whole log. The logs carry only "user"
+// labels, so the "team" classifier has nothing to train on and must never
+// count a retrain, while "user" still retrains.
+func TestControllerMinTrainingSetPerKey(t *testing.T) {
+	svc := NewService()
+	svc.AddApplication("a", 256, nil)
+	emb := byteEmb{dim: 16}
+	for _, key := range []string{"user", "team"} {
+		if err := svc.Deploy("a", &Classifier{LabelKey: key, Embedder: emb, Labeler: newMemoLabeler()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctl := svc.EnableDriftControl(ControllerConfig{
+		Threshold:      -1, // every scored tick counts as drift
+		Cooldown:       time.Nanosecond,
+		MinTrainingSet: 20,
+		HoldoutFrac:    0.5,
+		Detector:       drift.Config{MinQueries: 20},
+		NewLabeler:     func(string, string) TrainableLabeler { return newMemoLabeler() },
+	})
+	texts, users := phasePool("alpha", 10)
+	for i := 0; i < 3; i++ {
+		replayPhase(t, svc, "a", texts, users, 100)
+		ctl.Tick()
+	}
+	retrains := map[string]int64{}
+	for _, app := range ctl.Status() {
+		for _, k := range app.Keys {
+			retrains[k.LabelKey] = k.Retrains
+		}
+	}
+	if retrains["team"] != 0 {
+		t.Fatalf("team retrained %d times with no labeled rows", retrains["team"])
+	}
+	if retrains["user"] == 0 {
+		t.Fatal("user never retrained")
 	}
 }
 

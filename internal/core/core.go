@@ -12,9 +12,10 @@
 //
 // A Classifier is a deployable (embedder, labeler) pair. A Qworker hosts the
 // classifiers of one application's query stream, annotating each query with
-// predicted labels before it continues to the database and forking a copy to
-// the central training module, which manages training sets, retrains models,
-// and deploys new versions back to Qworkers.
+// predicted labels before it continues to the database. The central training
+// module learns from the databases' query logs, which carry true labels: it
+// manages training sets, retrains models, and deploys new versions back to
+// Qworkers.
 //
 // Everything is expressed over the one shared data model of the paper: the
 // labeled query (Q, c1, c2, ...).
@@ -58,9 +59,7 @@ func (q *LabeledQuery) SetTrace(t *obs.Trace) { q.trace = t }
 
 // Clone returns a deep copy (labels map included). The lifecycle trace is
 // NOT carried over: a trace settles exactly once per submitted query, and
-// the clone (a training-fork copy) is not that query.
-//
-//querc:allow-alloc ownership fork at the sink boundary — the copy is the product
+// the clone is not that query.
 func (q *LabeledQuery) Clone() *LabeledQuery {
 	out := *q
 	out.trace = nil

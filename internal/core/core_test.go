@@ -112,9 +112,8 @@ func TestNearestCentroidLabeler(t *testing.T) {
 
 func TestQworkerPipeline(t *testing.T) {
 	w := NewQworker("app1", 4)
-	var forwarded, sunk []*LabeledQuery
+	var forwarded []*LabeledQuery
 	w.Forward = func(q *LabeledQuery) { forwarded = append(forwarded, q) }
-	w.Sink = func(q *LabeledQuery) { sunk = append(sunk, q) }
 	w.Deploy(&Classifier{
 		LabelKey: "len",
 		Embedder: stubEmbedder{4},
@@ -129,16 +128,11 @@ func TestQworkerPipeline(t *testing.T) {
 	if len(w.Window()) != 4 {
 		t.Fatalf("window not bounded: %d", len(w.Window()))
 	}
-	if len(forwarded) != 6 || len(sunk) != 6 {
-		t.Fatalf("forward/sink: %d/%d", len(forwarded), len(sunk))
+	if len(forwarded) != 6 {
+		t.Fatalf("forwarded: %d", len(forwarded))
 	}
 	if forwarded[0].Label("len") != "L" {
 		t.Fatal("labels missing downstream")
-	}
-	// Sink receives clones: mutating the forwarded copy must not affect it.
-	forwarded[0].SetLabel("len", "mutated")
-	if sunk[0].Label("len") != "L" {
-		t.Fatal("sink must receive an independent clone")
 	}
 }
 
@@ -204,9 +198,6 @@ func TestQworkerWindowOrder(t *testing.T) {
 
 func TestQworkerProcessBatch(t *testing.T) {
 	w := NewQworker("app", 32)
-	var sunk int64
-	var mu sync.Mutex
-	w.Sink = func(q *LabeledQuery) { mu.Lock(); sunk++; mu.Unlock() }
 	w.Deploy(&Classifier{LabelKey: "k", Embedder: stubEmbedder{4},
 		Labeler: &RuleLabeler{RuleName: "r", Rule: func(vec.Vector) string { return "x" }}})
 	qs := make([]*LabeledQuery, 500)
@@ -225,8 +216,8 @@ func TestQworkerProcessBatch(t *testing.T) {
 			t.Fatalf("annotation missing at %d: %+v", i, q)
 		}
 	}
-	if w.Processed() != 500 || sunk != 500 {
-		t.Fatalf("processed/sunk: %d/%d", w.Processed(), sunk)
+	if w.Processed() != 500 {
+		t.Fatalf("processed: %d", w.Processed())
 	}
 	if len(w.Window()) != 32 {
 		t.Fatalf("window: %d", len(w.Window()))
@@ -296,8 +287,8 @@ func TestServiceSubmitBatch(t *testing.T) {
 			t.Fatalf("annotations lost at %d: %+v", i, q)
 		}
 	}
-	// Every batched query forked into the training module, exactly as the
-	// serial Submit path forks them.
+	// Served queries carry predicted labels, so serving — batch or serial —
+	// leaves the training module empty.
 	serial := NewService()
 	serial.AddApplication("X", 8, nil)
 	serial.Deploy("X", &Classifier{LabelKey: "k", Embedder: stubEmbedder{8},
@@ -307,8 +298,8 @@ func TestServiceSubmitBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, want := s.Training().Size("X"), serial.Training().Size("X"); got != 300 || got != want {
-		t.Fatalf("training size: batch %d, serial %d, want 300", got, want)
+	if got, want := s.Training().Size("X"), serial.Training().Size("X"); got != 0 || want != 0 {
+		t.Fatalf("training size: batch %d, serial %d, want 0", got, want)
 	}
 	// Deploy during a second concurrent batch (exercised under -race).
 	var wg sync.WaitGroup
@@ -322,7 +313,7 @@ func TestServiceSubmitBatch(t *testing.T) {
 	s.Deploy("X", &Classifier{LabelKey: "k", Embedder: stubEmbedder{8},
 		Labeler: &RuleLabeler{RuleName: "r2", Rule: func(vec.Vector) string { return "ok2" }}})
 	wg.Wait()
-	if got := s.Training().Size("X"); got != 600 {
+	if got := s.Training().Size("X"); got != 0 {
 		t.Fatalf("training size after second batch: %d", got)
 	}
 }
@@ -444,8 +435,8 @@ func TestServiceTopology(t *testing.T) {
 	if _, err := s.Submit("Y", "select 2"); err != nil {
 		t.Fatal(err)
 	}
-	// Both applications fork into the shared training module.
-	if s.Training().Size("X") != 1 || s.Training().Size("Y") != 1 {
+	// Serving feeds neither application's training set.
+	if s.Training().Size("X") != 0 || s.Training().Size("Y") != 0 {
 		t.Fatalf("training sizes: %d/%d", s.Training().Size("X"), s.Training().Size("Y"))
 	}
 }
@@ -479,6 +470,65 @@ func TestServiceRetrainAndDeploy(t *testing.T) {
 	}
 	if q.Label("role") != "reader" {
 		t.Fatalf("deployed classifier mislabels: %q", q.Label("role"))
+	}
+}
+
+// TestServingNeverFeedsTraining guards against self-training: an incumbent
+// that predicts only "wrong" serves 1000 queries, yet the training set for
+// its key holds exactly the ingested ground truth, and a retrain on it labels
+// held-out queries with their true users.
+func TestServingNeverFeedsTraining(t *testing.T) {
+	s := NewService()
+	s.AddApplication("X", 8, nil)
+	wrong := &Classifier{LabelKey: "user", Embedder: stubEmbedder{8},
+		Labeler: &RuleLabeler{RuleName: "wrong", Rule: func(vec.Vector) string { return "wrong" }}}
+	if err := s.Deploy("X", wrong); err != nil {
+		t.Fatal(err)
+	}
+	served := make([]string, 500)
+	for i := range served {
+		served[i] = fmt.Sprintf("select %d from t", i)
+		if _, err := s.Submit("X", served[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.SubmitBatch("X", served, 2); err != nil {
+		t.Fatal(err)
+	}
+	truth := make([]*LabeledQuery, 100)
+	for i := range truth {
+		q := &LabeledQuery{SQL: fmt.Sprintf("select aaa%d from accounts", i)}
+		q.SetLabel("user", "alice")
+		if i%2 == 1 {
+			q.SQL = fmt.Sprintf("delete from u where zzz = %d", i)
+			q.SetLabel("user", "bob")
+		}
+		truth[i] = q
+	}
+	s.Training().IngestBatch("X", truth)
+	set := s.Training().TrainingSet("X", "user")
+	if len(set) != len(truth) {
+		t.Fatalf("training set holds %d rows, want the %d ingested", len(set), len(truth))
+	}
+	for i, q := range set {
+		if q.SQL != truth[i].SQL || q.Label("user") != truth[i].Label("user") {
+			t.Fatalf("row %d = %q/%q, want %q/%q", i, q.SQL, q.Label("user"), truth[i].SQL, truth[i].Label("user"))
+		}
+	}
+	if _, err := s.RetrainAndDeploy("X", "user", stubEmbedder{8}, &NearestCentroidLabeler{}, 2); err != nil {
+		t.Fatal(err)
+	}
+	for sql, want := range map[string]string{
+		"select aaa777 from accounts":  "alice",
+		"delete from u where zzz = 77": "bob",
+	} {
+		q, err := s.Submit("X", sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := q.Label("user"); got != want {
+			t.Fatalf("%q labeled %q, want %q", sql, got, want)
+		}
 	}
 }
 

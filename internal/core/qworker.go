@@ -12,10 +12,12 @@ import (
 )
 
 // Qworker hosts the classifiers of one application stream (Fig. 1). Each
-// incoming query is annotated by every classifier, forwarded downstream (the
-// database), and forked to the training module's log sink. Qworkers keep only
-// a small bounded window of recent queries as state, so they can be load
-// balanced and parallelized in the usual ways (paper §2).
+// incoming query is annotated by every classifier and forwarded downstream
+// (the database). Served queries carry predicted labels, so none of them
+// reach the training module: ground truth arrives only through the database
+// log import (TrainingModule.IngestBatch). Qworkers keep only a small bounded
+// window of recent queries as state, so they can be load balanced and
+// parallelized in the usual ways (paper §2).
 //
 // Annotation runs on the embedding plane: the deployed classifiers are
 // grouped by embedder identity (Embedder.Name()), each distinct embedder's
@@ -47,12 +49,6 @@ type Qworker struct {
 	// Querc is out of the critical path (fork-only deployments, §2). It must
 	// be safe for concurrent use when ProcessBatch runs with >1 worker.
 	Forward func(*LabeledQuery)
-	// Sink receives a copy of every annotated query for the training module.
-	Sink func(*LabeledQuery)
-	// BatchSink, when non-nil, receives training-module forks a chunk at a
-	// time on the ProcessBatch path, amortizing per-query sink overhead.
-	// When nil, ProcessBatch falls back to calling Sink per query.
-	BatchSink func([]*LabeledQuery)
 
 	// processed counts queries handled, on the observability plane's atomic
 	// counter so monitoring snapshots never race the hot path (exposed as
@@ -216,7 +212,7 @@ func (w *Qworker) TakeDriftSample() *drift.Sample {
 }
 
 // Process annotates q with every deployed classifier's prediction, records
-// it in the window, and forwards/forks it. It returns the annotated query.
+// it in the window, and forwards it. It returns the annotated query.
 // Classification runs outside the lock; only the ring-buffer store is
 // serialized, so concurrent callers overlap on the expensive embedding work.
 // Each distinct embedder runs once per query — cache hit or one Embed — and
@@ -283,13 +279,10 @@ func (w *Qworker) Process(q *LabeledQuery) *LabeledQuery {
 	}
 	w.mu.Lock()
 	w.recordLocked(q)
-	forward, sink, fwdSched := w.Forward, w.Sink, w.fwdIsSched
+	forward, fwdSched := w.Forward, w.fwdIsSched
 	w.mu.Unlock()
 	w.processed.Inc()
 
-	if sink != nil {
-		sink(q.Clone())
-	}
 	if forward != nil {
 		forward(q)
 	}
@@ -323,18 +316,18 @@ func traceSince(tr *obs.Trace, t0 time.Time) time.Duration {
 }
 
 // batchChunk is the unit of work one batch worker claims at a time: big
-// enough to amortize the ring-buffer lock and training fork, small enough to
-// keep the pool balanced on skewed batches.
+// enough to amortize the ring-buffer lock, small enough to keep the pool
+// balanced on skewed batches.
 const batchChunk = 64
 
 // ProcessBatch annotates every query in qs, fanning the work out across a
 // bounded pool of workers goroutines (workers <= 0 uses GOMAXPROCS). Each
 // query takes the same path as Process — classify, record in the window,
-// fork, forward — and qs keeps its input order, with qs[i] annotated in
-// place. As with concurrent Process callers, the window and training-module
-// ordering reflect completion order, not input order, when workers > 1. This
-// is the batch-ingest path of WiSeDB/LearnedWMP-style workloads, where
-// queries arrive as a batch rather than a stream.
+// forward — and qs keeps its input order, with qs[i] annotated in place. As
+// with concurrent Process callers, the window ordering reflects completion
+// order, not input order, when workers > 1. This is the batch-ingest path of
+// WiSeDB/LearnedWMP-style workloads, where queries arrive as a batch rather
+// than a stream.
 //
 // The batch path shares work across the batch in ways the per-query path
 // cannot: the deployed classifier set is snapshotted once for the whole
@@ -345,8 +338,7 @@ const batchChunk = 64
 // BatchEmbedder fast path. The vector is the cached, cross-batch shared
 // artifact; labels are additionally memoized per (classifier, text) within
 // the batch so expensive labelers also run once per distinct text. Window
-// recording plus the training fork are amortized per chunk rather than per
-// query.
+// recording is amortized per chunk rather than per query.
 func (w *Qworker) ProcessBatch(qs []*LabeledQuery, workers int) []*LabeledQuery {
 	if len(qs) == 0 {
 		return qs
@@ -367,7 +359,7 @@ func (w *Qworker) ProcessBatch(qs []*LabeledQuery, workers int) []*LabeledQuery 
 	}
 	plan, cache, acc, tracer := w.snapshot()
 	w.mu.RLock()
-	forward, sink, batchSink, fwdSched := w.Forward, w.Sink, w.BatchSink, w.fwdIsSched
+	forward, fwdSched := w.Forward, w.fwdIsSched
 	w.mu.RUnlock()
 	// One vector memo per embedder group, shared by all batch workers, so
 	// repeats spanning chunks stay deduped even when the shared cache is
@@ -483,19 +475,6 @@ func (w *Qworker) ProcessBatch(qs []*LabeledQuery, workers int) []*LabeledQuery 
 				acc.merge(plan, chunk, chunkSums, chunkSqs, chunkHits, chunkMisses)
 			}
 			w.recordChunk(chunk)
-			if batchSink != nil || sink != nil {
-				clones := make([]*LabeledQuery, len(chunk))
-				for i, q := range chunk {
-					clones[i] = q.Clone()
-				}
-				if batchSink != nil {
-					batchSink(clones)
-				} else {
-					for _, q := range clones {
-						sink(q)
-					}
-				}
-			}
 			if forward != nil {
 				for _, q := range chunk {
 					forward(q)

@@ -9,12 +9,13 @@ import (
 )
 
 // Service wires the full Fig. 1 topology: per-application Qworkers fed by
-// query streams, all forking into one shared TrainingModule, all sharing one
-// embedding-plane VectorCache. Because embedders are trained centrally and
-// shared across applications, the cache is keyed by (embedder name, SQL) and
-// owned here rather than per worker: a literal repeat of a query text hits a
-// warm vector regardless of which application saw it first. It is the
-// embeddable form of the Querc service (cmd/quercd adds the HTTP surface).
+// query streams, one shared TrainingModule fed by database log imports, and
+// one embedding-plane VectorCache shared by both. Because embedders are
+// trained centrally and shared across applications, the cache is keyed by
+// (embedder name, SQL) and owned here rather than per worker: a literal
+// repeat of a query text hits a warm vector regardless of which application
+// saw it first. It is the embeddable form of the Querc service (cmd/quercd
+// adds the HTTP surface).
 type Service struct {
 	mu         sync.RWMutex
 	workers    map[string]*Qworker
@@ -128,16 +129,15 @@ func (s *Service) SetVectorCache(c *VectorCache) {
 }
 
 // AddApplication registers a Qworker for the named application stream and
-// wires its fork into the training module and its embedding plane into the
-// shared vector cache. forward may be nil when Querc is out of the critical
+// wires its embedding plane into the shared vector cache. Served queries do
+// not reach the training module; ground truth for it arrives through
+// Training().IngestBatch. forward may be nil when Querc is out of the critical
 // path (§2: "queries will be forked to Querc"); with a scheduler attached
 // (AttachScheduler), a nil forward defaults to the scheduling plane instead.
 // Workers added after EnableDriftControl start with drift sampling on, so
 // the control loop covers them too.
 func (s *Service) AddApplication(app string, windowSize int, forward func(*LabeledQuery)) *Qworker {
 	w := NewQworker(app, windowSize)
-	w.Sink = s.training.Ingest
-	w.BatchSink = func(qs []*LabeledQuery) { s.training.IngestBatch(app, qs) }
 	s.mu.Lock()
 	if forward != nil {
 		w.fwdClaimed = true // the caller owns this edge; AttachScheduler keeps off it
@@ -226,10 +226,9 @@ func (s *Service) Submit(app, sql string) (*LabeledQuery, error) {
 // SubmitBatch routes a batch of query texts through the application's
 // Qworker, fanning the per-query classification out across a bounded pool of
 // workers goroutines (workers <= 0 uses GOMAXPROCS). The returned slice is
-// index-aligned with sqls; every query is recorded in the worker's window
-// and forked to the training module, though with workers > 1 those land in
-// completion order rather than input order (as with concurrent Submit
-// callers).
+// index-aligned with sqls; every query is recorded in the worker's window,
+// though with workers > 1 those land in completion order rather than input
+// order (as with concurrent Submit callers).
 func (s *Service) SubmitBatch(app string, sqls []string, workers int) ([]*LabeledQuery, error) {
 	w := s.Worker(app)
 	if w == nil {

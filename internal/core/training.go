@@ -6,16 +6,17 @@ import (
 )
 
 // TrainingModule is the central "Training, Evaluation & Offline Labeling"
-// component of Fig. 1. It accumulates labeled queries (both the fork from
-// Qworkers and batch log imports from databases), manages per-application
-// training sets, retrains labelers against a shared embedder, and deploys
-// the refreshed classifiers back to Qworkers.
+// component of Fig. 1. It accumulates ground-truth labeled queries from the
+// databases' query logs (IngestBatch, quercd's POST /v1/apps/{app}/logs),
+// manages per-application training sets, retrains labelers against a shared
+// embedder, and deploys the refreshed classifiers back to Qworkers. Served
+// queries never enter it: they carry the incumbent model's predictions, and
+// training or scoring on those would grade the model against itself.
 //
-// Ingestion is sharded per application: each app owns its own mutex and an
-// append buffer that is merged into the retained log lazily, so Qworkers
-// forking queries from many parallel streams never serialize on one global
-// lock, and the retention trim copies into a fresh slice instead of
-// re-slicing (which would pin the full old backing array).
+// Ingestion is sharded per application: each app owns its own mutex, so log
+// imports for different apps never contend, and the retention trim copies
+// into a fresh slice instead of re-slicing (which would pin the full old
+// backing array).
 //
 // Per the paper's design, training is an infrequent batch activity — the
 // architecture is deliberately not a continuous-learning system (§2), so the
@@ -26,14 +27,9 @@ type TrainingModule struct {
 	vectors *VectorCache         // shared embedding-plane cache; nil disables
 }
 
-// flushEvery bounds the append buffer: once it holds this many queries the
-// shard merges it into the retained log, amortizing the trim copy.
-const flushEvery = 256
-
 // appShard holds one application's accumulated queries behind its own lock.
 type appShard struct {
 	mu    sync.Mutex
-	buf   []*LabeledQuery // recent ingests, not yet merged into log
 	log   []*LabeledQuery // retained queries, oldest first
 	limit int             // retention cap; <= 0 means unlimited
 }
@@ -90,7 +86,6 @@ func (t *TrainingModule) SetRetention(app string, limit int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.limit = limit
-	s.flushLocked()
 	// Lowering the cap should release memory promptly, not at the next
 	// slack-triggered compaction.
 	if over := s.retainedLocked(); len(over) < len(s.log) {
@@ -100,19 +95,22 @@ func (t *TrainingModule) SetRetention(app string, limit int) {
 	}
 }
 
-// Ingest records one labeled query (the Qworker fork path). It is safe for
-// concurrent use; queries from different applications never contend.
+// Ingest records one ground-truth log record for q.App (IngestBatch of one).
 func (t *TrainingModule) Ingest(q *LabeledQuery) {
-	s := t.shard(q.App)
-	s.mu.Lock()
-	s.buf = append(s.buf, q)
-	if len(s.buf) >= flushEvery {
-		s.flushLocked()
-	}
-	s.mu.Unlock()
+	t.IngestBatch(q.App, []*LabeledQuery{q})
 }
 
-// IngestBatch records a batch of log records (the database log-export path).
+// IngestBatch records a batch of ground-truth log records for app: the
+// database log-export path, and the only way true labels reach the training
+// module. It is safe for concurrent use; different applications never
+// contend.
+//
+// The log compacts once it reaches twice the retention cap: copying
+// survivors into a right-sized slice releases the dropped prefix's backing
+// array (a reslice trim would pin it forever), and the 2x slack keeps the
+// copy amortized O(1) per ingested query instead of O(limit) per ingest.
+// Reads apply the cap strictly via retainedLocked, so the slack is invisible
+// to callers.
 func (t *TrainingModule) IngestBatch(app string, qs []*LabeledQuery) {
 	s := t.shard(app)
 	s.mu.Lock()
@@ -120,22 +118,7 @@ func (t *TrainingModule) IngestBatch(app string, qs []*LabeledQuery) {
 	for _, q := range qs {
 		q.App = app
 	}
-	s.buf = append(s.buf, qs...)
-	s.flushLocked()
-}
-
-// flushLocked merges the append buffer into the retained log and compacts
-// once the log reaches twice the retention cap: copying survivors into a
-// right-sized slice releases the dropped prefix's backing array (the old
-// reslice trim pinned it forever), and the 2x slack keeps the copy amortized
-// O(1) per ingested query instead of O(limit) per flush. Reads apply the cap
-// strictly via retainedLocked, so the slack is invisible to callers.
-func (s *appShard) flushLocked() {
-	if len(s.buf) > 0 {
-		s.log = append(s.log, s.buf...)
-		clear(s.buf) // don't let the reused buffer pin evicted queries
-		s.buf = s.buf[:0]
-	}
+	s.log = append(s.log, qs...)
 	if s.limit > 0 && len(s.log) >= 2*s.limit {
 		fresh := make([]*LabeledQuery, s.limit)
 		copy(fresh, s.log[len(s.log)-s.limit:])
@@ -144,7 +127,7 @@ func (s *appShard) flushLocked() {
 }
 
 // retainedLocked returns the strict capped view of the log (no copy).
-// Callers hold s.mu and must have flushed first.
+// Callers hold s.mu.
 func (s *appShard) retainedLocked() []*LabeledQuery {
 	if s.limit > 0 && len(s.log) > s.limit {
 		return s.log[len(s.log)-s.limit:]
@@ -152,11 +135,10 @@ func (s *appShard) retainedLocked() []*LabeledQuery {
 	return s.log
 }
 
-// snapshot returns a copy of the retained queries (buffer flushed first).
+// snapshot returns a copy of the retained queries.
 func (s *appShard) snapshot() []*LabeledQuery {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.flushLocked()
 	return append([]*LabeledQuery(nil), s.retainedLocked()...)
 }
 
@@ -184,7 +166,6 @@ func (t *TrainingModule) Size(app string) int {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.flushLocked()
 	return len(s.retainedLocked())
 }
 
