@@ -40,12 +40,12 @@ type LabeledQuery struct {
 	Arrival time.Time         `json:"arrival,omitempty"` // zero when unknown
 	Labels  map[string]string `json:"labels,omitempty"`
 
-	// trace is the query's lifecycle trace, attached by the Qworker when the
-	// query is sampled (nil otherwise) and settled exactly once at the
-	// terminal outcome — by the dispatcher when the query enters the
-	// scheduling plane, by the Qworker when it does not. Unexported: the
-	// trace identifies one in-flight query, so Clone drops it rather than
-	// aliasing the settle.
+	// trace is the query's lifecycle trace, begun afresh by the Qworker on
+	// every annotation when the query is sampled (nil otherwise) and settled
+	// exactly once at the terminal outcome — by the dispatcher when the query
+	// enters the scheduling plane, by the Qworker when it does not.
+	// Unexported: the trace identifies one in-flight query, so Clone drops it
+	// rather than aliasing the settle.
 	trace *obs.Trace
 }
 
@@ -53,8 +53,11 @@ type LabeledQuery struct {
 // unsampled (the usual case).
 func (q *LabeledQuery) Trace() *obs.Trace { return q.trace }
 
-// SetTrace attaches a lifecycle trace (nil detaches). The caller keeps the
-// settle obligation until the query is handed to the scheduling plane.
+// SetTrace attaches a lifecycle trace (nil detaches). Only callers that hand
+// queries straight to the scheduling plane (Dispatcher.Enqueue) attach
+// traces; the Qworker begins a fresh trace for every query it annotates,
+// replacing any attached one. The caller keeps the settle obligation until
+// the query is handed to the scheduling plane.
 func (q *LabeledQuery) SetTrace(t *obs.Trace) { q.trace = t }
 
 // Clone returns a deep copy (labels map included). The lifecycle trace is

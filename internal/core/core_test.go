@@ -200,6 +200,8 @@ func TestQworkerProcessBatch(t *testing.T) {
 	w := NewQworker("app", 32)
 	w.Deploy(&Classifier{LabelKey: "k", Embedder: stubEmbedder{4},
 		Labeler: &RuleLabeler{RuleName: "r", Rule: func(vec.Vector) string { return "x" }}})
+	var forwarded []*LabeledQuery
+	w.Forward = func(q *LabeledQuery) { forwarded = append(forwarded, q) }
 	qs := make([]*LabeledQuery, 500)
 	for i := range qs {
 		qs[i] = &LabeledQuery{SQL: fmt.Sprintf("select %d", i)}
@@ -207,6 +209,14 @@ func TestQworkerProcessBatch(t *testing.T) {
 	out := w.ProcessBatch(qs, 8)
 	if len(out) != 500 {
 		t.Fatalf("batch output: %d", len(out))
+	}
+	if len(forwarded) != len(qs) {
+		t.Fatalf("forwarded: %d", len(forwarded))
+	}
+	for i := range qs {
+		if forwarded[i] != qs[i] {
+			t.Fatalf("Forward out of input order at %d: %q", i, forwarded[i].SQL)
+		}
 	}
 	for i, q := range out {
 		if q.SQL != fmt.Sprintf("select %d", i) {

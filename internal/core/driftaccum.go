@@ -15,9 +15,9 @@ import (
 // the previous tick — the same stream that feeds the worker's ring-buffer
 // window, without retaining per-query vectors.
 //
-// The merge granularity keeps the overhead off the critical path: the serial
-// Process path merges once per query, the batch path once per 64-query
-// chunk, and the per-query cost is one vector add per embedder group.
+// The annotate path merges once per chunk of distinct texts (a Process call
+// is a chunk of one), weighting each text by its multiplicity in the batch,
+// so the counts and sums equal per-occurrence accounting.
 type driftAccum struct {
 	mu      sync.Mutex
 	embSum  map[string]vec.Vector // embedder name -> sum of observed vectors
@@ -38,27 +38,34 @@ func newDriftAccum() *driftAccum {
 	}
 }
 
-// merge folds one processed chunk into the accumulator. sums[gi] and sqs[gi]
-// hold the sum of the chunk's vectors and of their squared norms for
-// plan[gi] (read-only here); hits and misses count the chunk's
-// embedding-plane lookups across all groups.
-func (a *driftAccum) merge(plan []embedderGroup, chunk []*LabeledQuery, sums []vec.Vector, sqs []float64, hits, misses int64) {
+// merge folds one annotated chunk of distinct queries into the accumulator.
+// mult[i] counts chunk[i]'s occurrences in its batch; vecs[gi][i] is
+// chunk[i]'s vector for plan[gi] (read-only here); hits and misses count the
+// chunk's embedding-plane lookups across all groups, repeats as hits.
+func (a *driftAccum) merge(plan []embedderGroup, chunk []*LabeledQuery, mult []int32, vecs [][]vec.Vector, hits, misses int64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.queries += len(chunk)
+	n := 0
+	for _, m := range mult {
+		n += int(m)
+	}
+	a.queries += n
 	a.hits += hits
 	a.misses += misses
 	for gi := range plan {
 		g := &plan[gi]
-		if sums != nil && sums[gi] != nil {
-			if s := a.embSum[g.name]; s == nil {
-				a.embSum[g.name] = sums[gi].Clone()
-			} else {
-				s.Add(sums[gi])
-			}
-			a.embSq[g.name] += sqs[gi]
-			a.embN[g.name] += len(chunk)
+		sum := a.embSum[g.name]
+		if sum == nil {
+			sum = vec.New(len(vecs[gi][0]))
+			a.embSum[g.name] = sum
 		}
+		var sq float64
+		for i, v := range vecs[gi][:len(chunk)] {
+			sum.AddScaled(float64(mult[i]), v)
+			sq += float64(mult[i]) * vec.Dot(v, v)
+		}
+		a.embSq[g.name] += sq
+		a.embN[g.name] += n
 		for _, c := range g.clfs {
 			m := a.labels[c.LabelKey]
 			if m == nil {
@@ -66,8 +73,8 @@ func (a *driftAccum) merge(plan []embedderGroup, chunk []*LabeledQuery, sums []v
 				m = make(map[string]int)
 				a.labels[c.LabelKey] = m
 			}
-			for _, q := range chunk {
-				m[q.Labels[c.LabelKey]]++
+			for i, q := range chunk {
+				m[q.Labels[c.LabelKey]] += int(mult[i])
 			}
 		}
 	}

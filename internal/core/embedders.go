@@ -127,9 +127,10 @@ func (e *LSTMEmbedder) Name() string { return "lstm(" + e.ModelName + ")" }
 // EmbedTexts embeds sqls in one call, routing through the EmbedBatch fast
 // path (with its identical-input dedupe) when e implements BatchEmbedder.
 // Note the learned adapters' batch paths may fan distinct inputs across
-// their own bounded pool; callers that already run one worker per core
-// (ProcessBatch via embedMissing, EmbedAll's tokenized path) embed serially
-// on their own goroutines instead.
+// their own bounded pool, so callers that already run one worker per core
+// (ProcessBatch, EmbedAll) take the serial EmbedTokens path of a
+// TokenizedEmbedder instead and reach EmbedTexts only for string-only
+// embedders.
 func EmbedTexts(e Embedder, sqls []string) []vec.Vector {
 	if be, ok := e.(BatchEmbedder); ok {
 		return be.EmbedBatch(sqls)
@@ -137,31 +138,6 @@ func EmbedTexts(e Embedder, sqls []string) []vec.Vector {
 	out := make([]vec.Vector, len(sqls))
 	for i, sql := range sqls {
 		out[i] = e.Embed(sql)
-	}
-	return out
-}
-
-// embedMissing embeds the batch path's cache-missed texts. When the embedder
-// accepts pre-tokenized input, each text is lexed at most once per
-// (worker, batch) — toksMemo carries tokens across embedder groups and
-// chunks — and embedded serially on the calling goroutine: miss is already
-// deduped by the chunk's local memo, and the caller (ProcessBatch /
-// EmbedAll) has one worker per core, so the dedupe+fan-out pool inside
-// EmbedTokensBatch would only oversubscribe the scheduler here. Non-
-// tokenized embedders fall back to the string batch path.
-func embedMissing(e Embedder, miss []string, toksMemo map[string][]string) []vec.Vector {
-	te, ok := e.(TokenizedEmbedder)
-	if !ok || toksMemo == nil {
-		return EmbedTexts(e, miss)
-	}
-	out := make([]vec.Vector, len(miss))
-	for i, sql := range miss {
-		toks, ok := toksMemo[sql]
-		if !ok {
-			toks = TokenizeForEmbedding(sql)
-			toksMemo[sql] = toks
-		}
-		out[i] = te.EmbedTokens(toks)
 	}
 	return out
 }

@@ -2,11 +2,14 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
 	"querc/internal/doc2vec"
 	"querc/internal/ml/forest"
+	"querc/internal/obs"
 	"querc/internal/vec"
 )
 
@@ -518,6 +521,119 @@ type stringOnlyEmbedder struct{ inner Embedder }
 func (s stringOnlyEmbedder) Embed(sql string) vec.Vector { return s.inner.Embed(sql) }
 func (s stringOnlyEmbedder) Dim() int                    { return s.inner.Dim() }
 func (s stringOnlyEmbedder) Name() string                { return s.inner.Name() }
+
+// TestProcessNeverSharesTraces: every annotation begins a fresh trace, so two
+// queries never alias one trace and re-processing a query settles its new
+// trace exactly once.
+func TestProcessNeverSharesTraces(t *testing.T) {
+	tracer := obs.NewTracer(obs.TracerConfig{SampleRate: 1})
+	w := NewQworker("app", 8)
+	w.SetTracer(tracer)
+	w.Deploy(ruleClassifier("k", &countingEmbedder{name: "e", dim: 8}))
+	q1 := &LabeledQuery{SQL: "select 1"}
+	q2 := &LabeledQuery{SQL: "select 2"}
+	w.Process(q1)
+	w.Process(q2)
+	if q1.Trace() == nil || q1.Trace() == q2.Trace() {
+		t.Fatalf("queries share a trace: %p %p", q1.Trace(), q2.Trace())
+	}
+	w.Process(q1)
+	// Repeats within a batch are distinct queries with traces of their own.
+	r1, r2 := &LabeledQuery{SQL: "select 1"}, &LabeledQuery{SQL: "select 1"}
+	w.ProcessBatch([]*LabeledQuery{r1, r2}, 1)
+	if r1.Trace() == nil || r1.Trace() == r2.Trace() {
+		t.Fatal("batch repeats share a trace")
+	}
+	st := tracer.Stats()
+	if st.Begun != 5 || st.Annotated != st.Begun || st.DoubleSettles != 0 {
+		t.Fatalf("trace ledger: %+v", st)
+	}
+}
+
+// TestStageSpansOnBothEntryPoints: the per-stage spans land on sampled
+// queries whichever entry point annotated them.
+func TestStageSpansOnBothEntryPoints(t *testing.T) {
+	tracer := obs.NewTracer(obs.TracerConfig{SampleRate: 1, RingSize: 512})
+	w := NewQworker("app", 8)
+	w.SetVectorCache(NewVectorCache(0, 0))
+	w.SetTracer(tracer)
+	w.Deploy(ruleClassifier("k", &tokenEmbedder{name: "tok", dim: 8}))
+	latest := func() obs.TraceRecord { return tracer.Records(obs.TraceQuery{N: 1})[0] }
+
+	w.Process(&LabeledQuery{SQL: "select a from t where x = 1"})
+	if r := latest(); r.TokenizeNs <= 0 || r.EmbedNs <= 0 || r.LabelNs <= 0 || r.CacheHit {
+		t.Fatalf("cold Process spans: %+v", r)
+	}
+	w.Process(&LabeledQuery{SQL: "select a from t where x = 1"})
+	if r := latest(); !r.CacheHit || r.EmbedNs != 0 {
+		t.Fatalf("warm Process spans: %+v", r)
+	}
+
+	qs := make([]*LabeledQuery, 200)
+	for i := range qs {
+		qs[i] = &LabeledQuery{SQL: fmt.Sprintf("select c%d from t where y = %d", i%9, i)}
+	}
+	w.ProcessBatch(qs, 1)
+	recs := tracer.Records(obs.TraceQuery{N: len(qs)})
+	if len(recs) != len(qs) {
+		t.Fatalf("batch records: %d", len(recs))
+	}
+	for _, r := range recs {
+		if r.TokenizeNs <= 0 || r.EmbedNs <= 0 || r.LabelNs <= 0 {
+			t.Fatalf("cold ProcessBatch spans: %+v", r)
+		}
+	}
+}
+
+// TestDriftSampleBatchSerialParity: a batch and the same queries submitted
+// one at a time leave the drift plane the same interval sample.
+func TestDriftSampleBatchSerialParity(t *testing.T) {
+	ea := &countingEmbedder{name: "a", dim: 8}
+	eb := &countingEmbedder{name: "b", dim: 8}
+	mk := func() *Qworker {
+		s := NewService()
+		w := s.AddApplication("app", 16, nil)
+		w.SetDriftSampling(true)
+		w.Deploy(ruleClassifier("x", ea))
+		w.Deploy(ruleClassifier("y", ea))
+		w.Deploy(ruleClassifier("z", eb))
+		return w
+	}
+	qs := func() []*LabeledQuery {
+		out := make([]*LabeledQuery, 400)
+		for i := range out {
+			out[i] = &LabeledQuery{SQL: fmt.Sprintf("select %d from t%d", i%50, i%5)} // 50 distinct
+		}
+		return out
+	}
+	serial, batch := mk(), mk()
+	for _, q := range qs() {
+		serial.Process(q)
+	}
+	batch.ProcessBatch(qs(), 4)
+	want, got := serial.TakeDriftSample(), batch.TakeDriftSample()
+	if want.Queries != 400 || got.Queries != want.Queries || got.CacheHits != want.CacheHits || got.CacheMisses != want.CacheMisses {
+		t.Fatalf("counts: serial %d/%d/%d batch %d/%d/%d", want.Queries, want.CacheHits, want.CacheMisses,
+			got.Queries, got.CacheHits, got.CacheMisses)
+	}
+	if !reflect.DeepEqual(got.Labels, want.Labels) {
+		t.Fatalf("labels: serial %v batch %v", want.Labels, got.Labels)
+	}
+	for name, ws := range want.Embedders {
+		gs := got.Embedders[name]
+		if gs.Count != ws.Count || math.Abs(gs.SqNorm-ws.SqNorm) > 1e-9 {
+			t.Fatalf("embedder %s: serial %+v batch %+v", name, ws, gs)
+		}
+		for i := range ws.Centroid {
+			if math.Abs(gs.Centroid[i]-ws.Centroid[i]) > 1e-9 {
+				t.Fatalf("embedder %s centroid[%d]: serial %v batch %v", name, i, ws.Centroid, gs.Centroid)
+			}
+		}
+	}
+	if len(got.Embedders) != 2 || len(want.Embedders) != 2 {
+		t.Fatalf("embedders: serial %d batch %d", len(want.Embedders), len(got.Embedders))
+	}
+}
 
 // TestSubmitAllocsWarmCache pins the exact allocation count of the
 // per-query Submit path when the embedding plane hits the shared vector

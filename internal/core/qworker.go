@@ -19,13 +19,15 @@ import (
 // window of recent queries as state, so they can be load balanced and
 // parallelized in the usual ways (paper §2).
 //
-// Annotation runs on the embedding plane: the deployed classifiers are
-// grouped by embedder identity (Embedder.Name()), each distinct embedder's
-// vector is computed once per query text — consulting the shared vector
-// cache first — and that vector is fanned out to every labeler on the
-// embedder. Embedders are the expensive, centrally-trained, shared half of a
-// classifier; labelers are cheap and per-tenant, so embed-once/label-many is
-// where the hot path's headroom lives.
+// Annotation runs on the embedding plane, through one routine for both entry
+// points (Process is ProcessBatch of one): the deployed classifiers are
+// grouped by embedder identity (Embedder.Name()), a call's queries are
+// deduplicated by text, each distinct embedder's vector is computed once per
+// distinct text — consulting the shared vector cache first — and that vector
+// is fanned out to every labeler on the embedder. Embedders are the
+// expensive, centrally-trained, shared half of a classifier; labelers are
+// cheap and per-tenant, so embed-once/label-many is where the hot path's
+// headroom lives.
 //
 // The window is a fixed-size ring buffer: recording a query is one store and
 // two index updates under the lock, and dropping the oldest entry never pins
@@ -46,8 +48,9 @@ type Qworker struct {
 	fwdIsSched  bool            // Forward is the scheduling plane's edge (it settles traces)
 
 	// Forward receives annotated queries bound for the database. nil when
-	// Querc is out of the critical path (fork-only deployments, §2). It must
-	// be safe for concurrent use when ProcessBatch runs with >1 worker.
+	// Querc is out of the critical path (fork-only deployments, §2). Each
+	// call forwards its queries in input order on the calling goroutine, so
+	// it must be safe for concurrent use only when the worker is.
 	Forward func(*LabeledQuery)
 
 	// processed counts queries handled, on the observability plane's atomic
@@ -162,13 +165,24 @@ func (w *Qworker) Classifiers() []*Classifier {
 	return append([]*Classifier(nil), w.classifiers...)
 }
 
-// snapshot returns the current embed plan, vector cache, drift accumulator,
-// and tracer. The plan slice is replaced wholesale by Deploy, never mutated,
-// so it is safe to read without the lock after return.
-func (w *Qworker) snapshot() ([]embedderGroup, *VectorCache, *driftAccum, *obs.Tracer) {
+// view is one call's read-locked snapshot of the worker: the embed plan,
+// vector cache, drift accumulator, tracer, and forward edge. Deploy replaces
+// the plan slice wholesale and never mutates it, so a view stays valid
+// without the lock.
+type view struct {
+	plan     []embedderGroup
+	cache    *VectorCache
+	acc      *driftAccum
+	tracer   *obs.Tracer
+	forward  func(*LabeledQuery)
+	fwdSched bool
+}
+
+// snapshot returns the worker's current view under one read lock.
+func (w *Qworker) snapshot() view {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	return w.plan, w.vectors, w.drift, w.tracer
+	return view{w.plan, w.vectors, w.drift, w.tracer, w.Forward, w.fwdIsSched}
 }
 
 // SetTracer attaches (or, with nil, detaches) lifecycle tracing: the worker
@@ -212,317 +226,297 @@ func (w *Qworker) TakeDriftSample() *drift.Sample {
 }
 
 // Process annotates q with every deployed classifier's prediction, records
-// it in the window, and forwards it. It returns the annotated query.
-// Classification runs outside the lock; only the ring-buffer store is
-// serialized, so concurrent callers overlap on the expensive embedding work.
-// Each distinct embedder runs once per query — cache hit or one Embed — and
-// its vector is fanned to all labelers in the group.
+// it in the window, and forwards it. It returns the annotated query. It is
+// ProcessBatch of a one-element batch, run inline on the caller's goroutine.
 //
 //querc:hotpath
 func (w *Qworker) Process(q *LabeledQuery) *LabeledQuery {
-	q.App = w.App
-	plan, cache, acc, tracer := w.snapshot()
-	if q.trace == nil {
-		q.trace = tracer.Begin(w.App, q.SQL)
-	}
-	tr := q.trace
-	var vs []vec.Vector // per-group vectors, collected only for drift sampling
-	var sqs []float64
-	var hits, misses int64
-	if acc != nil {
-		vs = make([]vec.Vector, len(plan))
-		sqs = make([]float64, len(plan))
-	}
-	// The query text is lexed at most once per submit: the first embedder
-	// group that misses the cache pays for tokenization and every later
-	// group reuses the token sequence (TokenizedEmbedder). Cache hits skip
-	// tokenization entirely.
-	var toks []string
-	tokenized := false
-	for gi := range plan {
-		g := &plan[gi]
-		v, ok := cache.Get(g.name, q.SQL)
-		if !ok {
-			if te, isTok := g.embedder.(TokenizedEmbedder); isTok {
-				if !tokenized {
-					t0 := traceNow(tr)
-					toks = TokenizeForEmbedding(q.SQL)
-					tr.MarkTokenize(traceSince(tr, t0))
-					tokenized = true
-				}
-				t0 := traceNow(tr)
-				v = te.EmbedTokens(toks)
-				tr.MarkEmbed(traceSince(tr, t0))
-			} else {
-				t0 := traceNow(tr)
-				v = g.embedder.Embed(q.SQL)
-				tr.MarkEmbed(traceSince(tr, t0))
-			}
-			cache.Put(g.name, q.SQL, v)
-			misses++
-		} else {
-			hits++
-			tr.MarkCacheHit()
-		}
-		if vs != nil {
-			vs[gi] = v
-			sqs[gi] = vec.Dot(v, v)
-		}
-		t0 := traceNow(tr)
-		for _, c := range g.clfs {
-			c.LabelVector(q, v)
-		}
-		tr.MarkLabel(traceSince(tr, t0))
-	}
-	if acc != nil {
-		acc.merge(plan, []*LabeledQuery{q}, vs, sqs, hits, misses)
-	}
-	w.mu.Lock()
-	w.recordLocked(q)
-	forward, fwdSched := w.Forward, w.fwdIsSched
-	w.mu.Unlock()
-	w.processed.Inc()
-
-	if forward != nil {
-		forward(q)
-	}
-	// With a scheduler on the forward edge the dispatcher settles the trace
-	// (whatever the admission outcome); otherwise the pipeline ends here.
-	if forward == nil || !fwdSched {
-		tr.Settle(obs.OutcomeAnnotated, nil)
-	}
+	one := [1]*LabeledQuery{q}
+	w.ProcessBatch(one[:], 1)
 	return q
 }
 
-// traceNow returns a span start only when a trace is live — the untraced hot
-// path skips the clock read entirely.
+// batchChunk is the unit of work one batch worker claims at a time: big
+// enough to amortize the claim and the drift merge, small enough to keep the
+// pool balanced on skewed batches.
+const batchChunk = 64
+
+// ProcessBatch annotates every query in qs, fanning the work out across a
+// bounded pool of workers goroutines (workers <= 0 uses GOMAXPROCS), and
+// returns qs with qs[i] annotated in place. This is the batch-ingest path of
+// WiSeDB/LearnedWMP-style workloads, where queries arrive as a batch rather
+// than a stream; Process is the batch of one.
+//
+// The deployed classifier set is snapshotted once per call (a concurrent
+// Deploy takes effect on the next call). The batch is deduplicated by SQL
+// text before any work: workers claim 64-text chunks of distinct queries
+// only, so each distinct text is embedded at most once per distinct
+// embedder — shared vector cache first — and labeled once per classifier.
+// Repeats then copy their first occurrence's labels. The window record, the
+// Forward edge, and the annotated trace settle run once per call, in input
+// order.
+func (w *Qworker) ProcessBatch(qs []*LabeledQuery, workers int) []*LabeledQuery {
+	if len(qs) == 0 {
+		return qs
+	}
+	b := batch{view: w.snapshot()}
+	s := scratchPool.Get().(*batchScratch)
+	b.uniq, b.mult = s.dedupe(w.App, b.tracer, qs)
+	// Classification is CPU-bound, so workers beyond the machine's
+	// parallelism only time-slice one P and pay the pool's coordination
+	// with no parallel payoff: on a single-core host the batch runs inline.
+	// A single worker skips the GOMAXPROCS read, which takes a runtime lock.
+	if workers != 1 {
+		if p := runtime.GOMAXPROCS(0); workers <= 0 || workers > p {
+			workers = p
+		}
+		workers = min(workers, (len(b.uniq)+batchChunk-1)/batchChunk)
+	}
+	if workers == 1 { // alone, the caller walks the chunks without claiming them
+		for lo := 0; lo < len(b.uniq); lo += batchChunk {
+			s.annotate(&b, lo)
+		}
+	} else {
+		s.next.Store(0)
+		for i := 1; i < workers; i++ {
+			s.wg.Add(1)
+			go help(s, b)
+		}
+		drain(s, s, &b)
+		s.wg.Wait()
+	}
+
+	if len(b.uniq) < len(qs) {
+		for _, q := range qs {
+			src := b.uniq[s.first[q.SQL]]
+			if src == q {
+				continue
+			}
+			q.trace.MarkCacheHit()
+			for gi := range b.plan {
+				for _, c := range b.plan[gi].clfs {
+					q.SetLabel(c.LabelKey, src.Labels[c.LabelKey])
+				}
+			}
+		}
+	}
+	w.record(qs)
+	for _, q := range qs {
+		if b.forward != nil {
+			b.forward(q)
+		}
+		// With a scheduler on the forward edge the dispatcher settles the
+		// trace (whatever the admission outcome); otherwise the pipeline
+		// ends here.
+		if b.forward == nil || !b.fwdSched {
+			q.trace.Settle(obs.OutcomeAnnotated, nil)
+		}
+	}
+	clear(s.first)
+	clear(b.uniq) // drop the query references before pooling
+	scratchPool.Put(s)
+	return qs
+}
+
+// batch is one call's work, shared read-only by its workers: the worker's
+// view and the deduplicated queries with their multiplicities.
+type batch struct {
+	view
+	uniq []*LabeledQuery // distinct queries: first occurrences, in input order
+	mult []int32         // occurrences of each distinct query in the call
+}
+
+// batchScratch is the pooled working set of one annotating goroutine, so a
+// warm Process allocates nothing of its own. The call's own scratch also
+// holds the dedupe index and the chunk claims its extra workers share. Its
+// slices are stored back only when they grow: every pointer store into a
+// pooled object costs a GC write barrier on the warm path.
+type batchScratch struct {
+	first map[string]int32 // text -> index into uniq (batches of more than one)
+	uniq  []*LabeledQuery  // backing store of batch.uniq
+	mult  []int32          // backing store of batch.mult
+	next  atomic.Int64     // offset of the next unclaimed chunk of uniq
+	wg    sync.WaitGroup   // extra workers still draining
+
+	vecs [][]vec.Vector // per embedder group: the chunk's vectors
+	toks [][]string     // per chunk query: tokens, lexed at most once across groups
+	miss []int          // chunk indices that missed the cache in the current group
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	return &batchScratch{first: make(map[string]int32)}
+}}
+
+// single is the multiplicities of a batch of one; it is never written.
+var single = [1]int32{1}
+
+// grow returns *s resliced to length n, replacing *s only when its capacity
+// is short.
+func grow[T any](s *[]T, n int) []T {
+	if cap(*s) < n {
+		*s = make([]T, n)
+	}
+	return (*s)[:n]
+}
+
+// dedupe begins every query's trace and returns the batch's distinct queries
+// and their multiplicities, indexing texts in s.first.
+func (s *batchScratch) dedupe(app string, tracer *obs.Tracer, qs []*LabeledQuery) ([]*LabeledQuery, []int32) {
+	for _, q := range qs {
+		q.App = app
+		q.trace = tracer.Begin(app, q.SQL)
+	}
+	uniq := grow(&s.uniq, len(qs))[:0]
+	if len(qs) == 1 { // a batch of one needs no index
+		return append(uniq, qs[0]), single[:]
+	}
+	mult := grow(&s.mult, len(qs))[:0]
+	for _, q := range qs {
+		if j, seen := s.first[q.SQL]; seen {
+			mult[j]++
+			continue
+		}
+		s.first[q.SQL] = int32(len(uniq))
+		uniq = append(uniq, q)
+		mult = append(mult, 1)
+	}
+	return uniq, mult
+}
+
+// help runs one extra batch worker on chunk scratch of its own.
+func help(job *batchScratch, b batch) {
+	defer job.wg.Done()
+	own := scratchPool.Get().(*batchScratch)
+	drain(job, own, &b)
+	scratchPool.Put(own)
+}
+
+// drain claims chunks of b's distinct queries through job until none remain,
+// annotating each with cs's chunk state.
+func drain(job, cs *batchScratch, b *batch) {
+	for {
+		lo := int(job.next.Add(batchChunk)) - batchChunk
+		if lo >= len(b.uniq) {
+			return
+		}
+		cs.annotate(b, lo)
+	}
+}
+
+// annotate labels the chunk of b's distinct queries that starts at lo,
+// embedder group by group: each text is looked up in the shared cache, each
+// miss is lexed at most once across groups, embedded, and cached, and the
+// vector is fanned to every labeler in the group. Drift statistics weight
+// each text by its multiplicity, counting repeats as cache hits; sampled
+// queries get the chunk's tokenize, embed, and label time split evenly over
+// its length. Vectors stay in the scratch until the next chunk overwrites
+// them: they are immutable cache values, and clearing them would cost write
+// barriers.
+func (s *batchScratch) annotate(b *batch, lo int) {
+	hi := min(lo+batchChunk, len(b.uniq))
+	v, chunk, mult := &b.view, b.uniq[lo:hi], b.mult[lo:hi]
+	traced := false
+	for _, q := range chunk {
+		traced = traced || q.trace != nil
+	}
+	vecs := grow(&s.vecs, len(v.plan))
+	toks := grow(&s.toks, len(chunk))
+	lexed := false
+	var tokenize, embed, label time.Duration
+	var hits, misses int64
+	for gi := range v.plan {
+		g := &v.plan[gi]
+		vs := grow(&vecs[gi], len(chunk))
+		miss := grow(&s.miss, len(chunk))[:0]
+		for i, q := range chunk {
+			if hit, ok := v.cache.Get(g.name, q.SQL); ok {
+				vs[i] = hit
+				hits += int64(mult[i])
+				q.trace.MarkCacheHit()
+				continue
+			}
+			miss = append(miss, i)
+			misses++
+			hits += int64(mult[i]) - 1 // repeats reuse this vector
+		}
+		if len(miss) > 0 {
+			t0 := traceNow(traced)
+			if te, ok := g.embedder.(TokenizedEmbedder); ok {
+				for _, i := range miss {
+					if toks[i] == nil {
+						toks[i] = TokenizeForEmbedding(chunk[i].SQL)
+						lexed = true
+					}
+				}
+				t1 := traceNow(traced)
+				tokenize += t1.Sub(t0)
+				t0 = t1
+				for _, i := range miss {
+					vs[i] = te.EmbedTokens(toks[i])
+				}
+			} else {
+				texts := make([]string, len(miss))
+				for j, i := range miss {
+					texts[j] = chunk[i].SQL
+				}
+				for j, ev := range EmbedTexts(g.embedder, texts) {
+					vs[miss[j]] = ev
+				}
+			}
+			embed += traceNow(traced).Sub(t0)
+			for _, i := range miss {
+				v.cache.Put(g.name, chunk[i].SQL, vs[i])
+			}
+		}
+		t0 := traceNow(traced)
+		for i, q := range chunk {
+			for _, c := range g.clfs {
+				c.LabelVector(q, vs[i])
+			}
+		}
+		label += traceNow(traced).Sub(t0)
+	}
+	if v.acc != nil {
+		v.acc.merge(v.plan, chunk, mult, vecs, hits, misses)
+	}
+	if traced {
+		n := time.Duration(len(chunk))
+		for _, q := range chunk {
+			q.trace.MarkTokenize(tokenize / n)
+			q.trace.MarkEmbed(embed / n)
+			q.trace.MarkLabel(label / n)
+		}
+	}
+	if lexed {
+		clear(toks) // a miss's tokens must not pass for the next chunk's
+	}
+}
+
+// traceNow returns a span stamp only when the chunk carries a live trace —
+// the untraced hot path skips the clock read, and its spans come out zero.
 //
 //querc:hotpath
-func traceNow(tr *obs.Trace) time.Time {
-	if tr == nil {
+func traceNow(traced bool) time.Time {
+	if !traced {
 		return time.Time{}
 	}
 	return time.Now()
 }
 
-// traceSince closes a span opened by traceNow (zero when untraced).
-//
-//querc:hotpath
-func traceSince(tr *obs.Trace, t0 time.Time) time.Duration {
-	if tr == nil {
-		return 0
-	}
-	return time.Since(t0)
-}
-
-// batchChunk is the unit of work one batch worker claims at a time: big
-// enough to amortize the ring-buffer lock, small enough to keep the pool
-// balanced on skewed batches.
-const batchChunk = 64
-
-// ProcessBatch annotates every query in qs, fanning the work out across a
-// bounded pool of workers goroutines (workers <= 0 uses GOMAXPROCS). Each
-// query takes the same path as Process — classify, record in the window,
-// forward — and qs keeps its input order, with qs[i] annotated in place. As
-// with concurrent Process callers, the window ordering reflects completion
-// order, not input order, when workers > 1. This is the batch-ingest path of
-// WiSeDB/LearnedWMP-style workloads, where queries arrive as a batch rather
-// than a stream.
-//
-// The batch path shares work across the batch in ways the per-query path
-// cannot: the deployed classifier set is snapshotted once for the whole
-// batch (a concurrent Deploy takes effect on the next batch), and each
-// distinct query text is embedded at most once per distinct embedder for the
-// whole batch — first via the cross-application vector cache, then via a
-// per-batch memo, with misses embedded chunk-at-a-time through the
-// BatchEmbedder fast path. The vector is the cached, cross-batch shared
-// artifact; labels are additionally memoized per (classifier, text) within
-// the batch so expensive labelers also run once per distinct text. Window
-// recording is amortized per chunk rather than per query.
-func (w *Qworker) ProcessBatch(qs []*LabeledQuery, workers int) []*LabeledQuery {
-	if len(qs) == 0 {
-		return qs
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// Classification is CPU-bound, so workers beyond the machine's
-	// parallelism only time-slice one P and pay the pool's coordination
-	// (chunk claims, memo synchronization, goroutine switches) with no
-	// parallel payoff — on a single-core host the clamp routes the batch
-	// through the inline path below.
-	if p := runtime.GOMAXPROCS(0); workers > p {
-		workers = p
-	}
-	if workers > (len(qs)+batchChunk-1)/batchChunk {
-		workers = (len(qs) + batchChunk - 1) / batchChunk
-	}
-	plan, cache, acc, tracer := w.snapshot()
-	w.mu.RLock()
-	forward, fwdSched := w.Forward, w.fwdIsSched
-	w.mu.RUnlock()
-	// One vector memo per embedder group, shared by all batch workers, so
-	// repeats spanning chunks stay deduped even when the shared cache is
-	// disabled. A vector computed twice concurrently is benign: embedders
-	// are pure functions of the text, so the store is last-writer-wins over
-	// identical values.
-	memos := make([]sync.Map, len(plan))
-	// Labelers are pure functions of the vector too, so labels are also
-	// memoized per (classifier, text) for the batch — expensive labelers
-	// (forests) run once per distinct text, not once per occurrence.
-	labelMemos := make([][]sync.Map, len(plan))
-	for gi := range plan {
-		labelMemos[gi] = make([]sync.Map, len(plan[gi].clfs))
-	}
-
-	var next atomic.Int64
-	run := func() {
-		local := make(map[string]vec.Vector, batchChunk)
-		miss := make([]string, 0, batchChunk)
-		// Tokens for cache-missed texts, shared across embedder groups and
-		// chunks within this worker so each distinct text is lexed once per
-		// worker instead of once per (embedder, occurrence).
-		toksMemo := make(map[string][]string, batchChunk)
-		for {
-			lo := int(next.Add(batchChunk)) - batchChunk
-			if lo >= len(qs) {
-				return
-			}
-			hi := lo + batchChunk
-			if hi > len(qs) {
-				hi = len(qs)
-			}
-			chunk := qs[lo:hi]
-			for _, q := range chunk {
-				q.App = w.App
-				// The batch path traces the submit→settle envelope plus
-				// scheduling-plane spans; per-stage annotation spans are a
-				// Process-path feature (batch work is chunk-amortized and
-				// memoized, so per-query stage costs are not attributable).
-				if q.trace == nil {
-					q.trace = tracer.Begin(w.App, q.SQL)
-				}
-			}
-			// Drift sampling, when enabled, sums the chunk's vectors per
-			// embedder group and counts embed-plane hits vs misses — one
-			// vector add per query plus one accumulator merge per chunk.
-			var chunkSums []vec.Vector
-			var chunkSqs []float64
-			var chunkHits, chunkMisses int64
-			if acc != nil {
-				chunkSums = make([]vec.Vector, len(plan))
-				chunkSqs = make([]float64, len(plan))
-			}
-			for gi := range plan {
-				g := &plan[gi]
-				// Embed phase: resolve one vector per distinct text in the
-				// chunk — batch memo, then shared cache, then inference.
-				clear(local)
-				miss = miss[:0]
-				for _, q := range chunk {
-					if _, ok := local[q.SQL]; ok {
-						chunkHits++
-						continue
-					}
-					if v, ok := memos[gi].Load(q.SQL); ok {
-						local[q.SQL] = v.(vec.Vector)
-						chunkHits++
-						continue
-					}
-					if v, ok := cache.Get(g.name, q.SQL); ok {
-						local[q.SQL] = v
-						memos[gi].Store(q.SQL, v)
-						chunkHits++
-						continue
-					}
-					local[q.SQL] = nil
-					miss = append(miss, q.SQL)
-					chunkMisses++
-				}
-				if len(miss) > 0 {
-					vs := embedMissing(g.embedder, miss, toksMemo)
-					for i, sql := range miss {
-						local[sql] = vs[i]
-						memos[gi].Store(sql, vs[i])
-						cache.Put(g.name, sql, vs[i])
-					}
-				}
-				// Label phase: fan each vector to every labeler on the
-				// embedder, computing each (classifier, text) label once.
-				for _, q := range chunk {
-					v := local[q.SQL]
-					for ci, c := range g.clfs {
-						if cached, ok := labelMemos[gi][ci].Load(q.SQL); ok {
-							q.SetLabel(c.LabelKey, cached.(string))
-							continue
-						}
-						labelMemos[gi][ci].Store(q.SQL, c.LabelVector(q, v))
-					}
-				}
-				if chunkSums != nil {
-					sum := vec.New(g.embedder.Dim())
-					var sq float64
-					for _, q := range chunk {
-						v := local[q.SQL]
-						sum.Add(v)
-						sq += vec.Dot(v, v)
-					}
-					chunkSums[gi] = sum
-					chunkSqs[gi] = sq
-				}
-			}
-			if acc != nil {
-				acc.merge(plan, chunk, chunkSums, chunkSqs, chunkHits, chunkMisses)
-			}
-			w.recordChunk(chunk)
-			if forward != nil {
-				for _, q := range chunk {
-					forward(q)
-				}
-			}
-			if forward == nil || !fwdSched {
-				for _, q := range chunk {
-					q.trace.Settle(obs.OutcomeAnnotated, nil)
-				}
-			}
+// record stores qs in the ring buffer in order, evicting the oldest entries
+// when full, under one lock acquisition.
+func (w *Qworker) record(qs []*LabeledQuery) {
+	w.mu.Lock()
+	for _, q := range qs {
+		w.ring[(w.ringStart+w.ringLen)%len(w.ring)] = q
+		if w.ringLen < len(w.ring) {
+			w.ringLen++
+		} else {
+			w.ringStart = (w.ringStart + 1) % len(w.ring)
 		}
 	}
-	if workers <= 1 {
-		run()
-		return qs
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run()
-		}()
-	}
-	wg.Wait()
-	return qs
-}
-
-// recordLocked stores q in the ring buffer, evicting the oldest entry when
-// full. Callers hold w.mu.
-func (w *Qworker) recordLocked(q *LabeledQuery) {
-	w.ring[(w.ringStart+w.ringLen)%len(w.ring)] = q
-	if w.ringLen < len(w.ring) {
-		w.ringLen++
-	} else {
-		w.ringStart = (w.ringStart + 1) % len(w.ring)
-	}
-}
-
-// recordChunk appends a chunk of annotated queries to the ring buffer under
-// one lock acquisition.
-func (w *Qworker) recordChunk(chunk []*LabeledQuery) {
-	w.mu.Lock()
-	for _, q := range chunk {
-		w.recordLocked(q)
-	}
 	w.mu.Unlock()
-	w.processed.Add(uint64(len(chunk)))
+	w.processed.Add(uint64(len(qs)))
 }
 
 // Window returns a copy of the recent-query window (most recent last).

@@ -226,9 +226,8 @@ func (s *Service) Submit(app, sql string) (*LabeledQuery, error) {
 // SubmitBatch routes a batch of query texts through the application's
 // Qworker, fanning the per-query classification out across a bounded pool of
 // workers goroutines (workers <= 0 uses GOMAXPROCS). The returned slice is
-// index-aligned with sqls; every query is recorded in the worker's window,
-// though with workers > 1 those land in completion order rather than input
-// order (as with concurrent Submit callers).
+// index-aligned with sqls, and every query is recorded in the worker's
+// window and forwarded in input order.
 func (s *Service) SubmitBatch(app string, sqls []string, workers int) ([]*LabeledQuery, error) {
 	w := s.Worker(app)
 	if w == nil {

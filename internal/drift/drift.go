@@ -75,8 +75,9 @@ type Sample struct {
 	// KeyEmbedder maps label key -> the embedder name its classifier rides,
 	// so scores can pair a label distribution with the right centroid.
 	KeyEmbedder map[string]string
-	// CacheHits / CacheMisses count embedding-plane cache lookups (shared
-	// cache or per-batch memo) over the interval.
+	// CacheHits / CacheMisses count embedding-plane lookups over the
+	// interval, one per query per embedder; a repeat within a batch counts as
+	// a hit.
 	CacheHits, CacheMisses int64
 }
 

@@ -57,7 +57,7 @@ func (o Outcome) String() string {
 // through the annotation pipeline (tokenize/embed/label), scheduling-plane
 // timestamps (admit, queue wait, execution), attempt accounting
 // (retries/hedges), and the terminal outcome. Records are plain values — the
-// ring stores copies, so readers never alias a pooled live trace.
+// ring stores copies, so readers never alias a live trace.
 type TraceRecord struct {
 	App      string `json:"app,omitempty"`
 	SQL      string `json:"sql"`
@@ -85,14 +85,15 @@ type TraceRecord struct {
 // Tracer.Begin (nil when the query is unsampled — every method is valid on a
 // nil *Trace, so call sites mark unconditionally), ride the query through
 // annotation and scheduling, and are settled exactly once at the terminal
-// outcome, which publishes the record to the tracer's ring and recycles the
-// Trace.
+// outcome, which publishes a copy of the record to the tracer's ring. Every
+// Begin returns a fresh Trace, so a settled trace is never reused for
+// another query.
 //
 // A Trace is not internally synchronized: the pipeline serializes marks by
 // construction (the Qworker marks before handing the query on; the dispatcher
 // marks under its own mutex and settles there too). The settled flag is
 // atomic, so a late mark racing a settle degrades to a no-op instead of
-// corrupting a recycled record, and a second settle is counted rather than
+// altering the published record, and a second settle is counted rather than
 // honored — the exactly-once mirror of the dispatcher's conservation ledger.
 type Trace struct {
 	tr      *Tracer
@@ -193,10 +194,10 @@ func (t *Trace) MarkHedge() {
 	t.rec.Hedged = true
 }
 
-// Settle finalizes the trace with its terminal outcome, publishes the record
-// to the tracer's ring, and recycles the Trace — the caller must not touch t
-// afterwards. Exactly one Settle wins; later calls are counted as double
-// settles and dropped. Valid on a nil *Trace.
+// Settle finalizes the trace with its terminal outcome and publishes the
+// record to the tracer's ring; later marks on t are no-ops. Exactly one
+// Settle wins; later calls are counted as double settles and dropped. Valid
+// on a nil *Trace.
 func (t *Trace) Settle(o Outcome, err error) {
 	if t == nil {
 		return
@@ -244,12 +245,11 @@ type TracerConfig struct {
 	RingSize int
 }
 
-// Tracer owns sampling, the pooled live traces, the settled-record ring, and
-// the per-outcome settle ledger. All methods are valid on a nil *Tracer, so
-// the pipeline threads an optional tracer without branching.
+// Tracer owns sampling, the settled-record ring, and the per-outcome settle
+// ledger. All methods are valid on a nil *Tracer, so the pipeline threads an
+// optional tracer without branching.
 type Tracer struct {
 	threshold uint64
-	pool      sync.Pool
 
 	begun         atomic.Uint64
 	sampledN      atomic.Uint64
@@ -275,12 +275,10 @@ func NewTracer(cfg TracerConfig) *Tracer {
 	if size <= 0 {
 		size = defaultRing
 	}
-	tr := &Tracer{
+	return &Tracer{
 		threshold: uint64(rate * sampleDenom),
 		ring:      make([]TraceRecord, size),
 	}
-	tr.pool.New = func() any { return new(Trace) }
-	return tr
 }
 
 // Begin starts a trace for one query, returning nil when the query is not
@@ -296,14 +294,8 @@ func (tr *Tracer) Begin(app, sql string) *Trace {
 		return nil
 	}
 	tr.sampledN.Add(1)
-	t := tr.pool.Get().(*Trace)
-	t.tr = tr
-	t.settled.Store(0)
-	t.submit = time.Now()
-	t.admit = time.Time{}
-	t.started = time.Time{}
-	t.rec = TraceRecord{App: app, SQL: sql, SubmitUnixNano: t.submit.UnixNano()}
-	return t
+	now := time.Now()
+	return &Trace{tr: tr, submit: now, rec: TraceRecord{App: app, SQL: sql, SubmitUnixNano: now.UnixNano()}}
 }
 
 // sampleHash decides sampling by FNV-1a over the query text against the
@@ -325,7 +317,7 @@ func (tr *Tracer) sampleHash(sql string) bool {
 	return h%sampleDenom < tr.threshold
 }
 
-// settle publishes a finalized record into the ring and recycles the trace.
+// settle publishes a copy of a finalized record into the ring.
 func (tr *Tracer) settle(t *Trace, o Outcome) {
 	if o >= numOutcomes {
 		o = OutcomePending
@@ -338,9 +330,6 @@ func (tr *Tracer) settle(t *Trace, o Outcome) {
 		tr.ringLen++
 	}
 	tr.mu.Unlock()
-	// t.tr stays set so a late duplicate Settle can still be counted.
-	t.rec = TraceRecord{} // release string references before pooling
-	tr.pool.Put(t)
 }
 
 // TraceQuery selects records from the settled ring.

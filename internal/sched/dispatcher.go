@@ -1060,7 +1060,7 @@ func (d *Dispatcher) finishLocked(t *Task, b *backend, err error) {
 	}
 	// Settle under the lock: the done flag set in retireStateLocked orders
 	// racing siblings behind this terminal delivery, so no late mark can
-	// touch the trace once it returns to the tracer's pool.
+	// touch the trace after its record is published.
 	t.Query.Trace().Settle(outcome, err)
 	if d.waiting > 0 {
 		d.cond.Broadcast()

@@ -723,7 +723,7 @@ func TestConcurrentSubmitDeployDispatch(t *testing.T) {
 // harness's dispatch_armed workload: label policy over 2 backends with a
 // no-op executor, SLA targets, deadline, retry, breaker, memory-aware
 // admission, a metrics registry, audit to io.Discard and 1% tracing. The
-// query is one the tracer does not sample, so no pooled trace adds jitter.
+// query is one the tracer does not sample, so no trace allocation counts.
 // The 9 are the Task, its retry state and cancel entry, the deadline
 // context (4 with its timer), the audit event, and the affinity bucket,
 // which regrows on every push when one query is outstanding at a time (the
