@@ -72,12 +72,12 @@ func runDrift(scale experiments.Scale, workers int, csvDir string) error {
 	if err != nil {
 		return err
 	}
-	lab := querc.NewForestLabeler(querc.DefaultForestConfig())
-	if err := lab.Fit(querc.EmbedAll(emb, st.sqls[:subN], workers), st.users[:subN]); err != nil {
+	clf, err := querc.Fit("user", emb, querc.NewForestLabeler(querc.DefaultForestConfig()), st.sqls[:subN], st.users[:subN], workers, nil)
+	if err != nil {
 		return err
 	}
 
-	offAcc, _, err := replayDrift(st, emb, lab, workers, nil)
+	offAcc, _, err := replayDrift(st, clf, workers, nil)
 	if err != nil {
 		return err
 	}
@@ -93,7 +93,7 @@ func runDrift(scale experiments.Scale, workers int, csvDir string) error {
 			return querc.NewForestLabeler(querc.DefaultForestConfig())
 		},
 	}
-	onAcc, ctl, err := replayDrift(st, emb, lab, workers, loopCfg)
+	onAcc, ctl, err := replayDrift(st, clf, workers, loopCfg)
 	if err != nil {
 		return err
 	}
@@ -167,13 +167,13 @@ func runDrift(scale experiments.Scale, workers int, csvDir string) error {
 // (true labels arrive late, from the database's own logs) and ticking the
 // drift controller once per batch when loopCfg is non-nil. It returns
 // per-batch user-prediction accuracy.
-func replayDrift(st driftStream, emb querc.Embedder, lab querc.Labeler, workers int, loopCfg *querc.ControllerConfig) ([]float64, *querc.Controller, error) {
+func replayDrift(st driftStream, clf *querc.Classifier, workers int, loopCfg *querc.ControllerConfig) ([]float64, *querc.Controller, error) {
 	svc := querc.NewService()
 	svc.AddApplication("app", 512, nil)
 	// Retention keeps the training set tracking recent traffic, so gated
 	// retrains after the shift train on the new tenant mix.
 	svc.Training().SetRetention("app", 1500)
-	if err := svc.Deploy("app", &querc.Classifier{LabelKey: "user", Embedder: emb, Labeler: lab}); err != nil {
+	if err := svc.Deploy("app", clf); err != nil {
 		return nil, nil, err
 	}
 	var ctl *querc.Controller

@@ -46,8 +46,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	labeler := querc.NewForestLabeler(querc.DefaultForestConfig())
-	if err := labeler.Fit(querc.EmbedAll(embedder, oldSQLs, 4), oldUsers); err != nil {
+	clf, err := querc.Fit("user", embedder, querc.NewForestLabeler(querc.DefaultForestConfig()), oldSQLs, oldUsers, 4, nil)
+	if err != nil {
 		log.Fatal(err)
 	}
 
@@ -57,9 +57,7 @@ func main() {
 	svc := querc.NewService()
 	svc.AddApplication("acme", 256, nil)
 	svc.Training().SetRetention("acme", 600)
-	if err := svc.Deploy("acme", &querc.Classifier{
-		LabelKey: "user", Embedder: embedder, Labeler: labeler,
-	}); err != nil {
+	if err := svc.Deploy("acme", clf); err != nil {
 		log.Fatal(err)
 	}
 	ctl := svc.EnableDriftControl(querc.ControllerConfig{

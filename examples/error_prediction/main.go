@@ -8,6 +8,7 @@ import (
 	"log"
 
 	"querc"
+	"querc/internal/apps"
 	"querc/internal/snowgen"
 )
 
@@ -41,10 +42,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	predictor := querc.ErrorPredictor{
-		Embedder: embedder,
-		Labeler:  querc.NewForestLabeler(querc.DefaultForestConfig()),
-	}
+	predictor := apps.NewErrorPredictor(embedder, querc.DefaultForestConfig())
 	if err := predictor.Train(sqls, codes); err != nil {
 		log.Fatal(err)
 	}

@@ -42,9 +42,8 @@ func main() {
 
 	// 3. Labeling: fit a small randomized-tree labeler that predicts the
 	// submitting user from the query vector.
-	labeler := querc.NewForestLabeler(querc.DefaultForestConfig())
-	X := querc.EmbedAll(embedder, sqls, 4)
-	if err := labeler.Fit(X, users); err != nil {
+	clf, err := querc.Fit("user", embedder, querc.NewForestLabeler(querc.DefaultForestConfig()), sqls, users, 4, nil)
+	if err != nil {
 		log.Fatal(err)
 	}
 
@@ -52,9 +51,7 @@ func main() {
 	// few fresh queries through the service.
 	svc := querc.NewService()
 	svc.AddApplication("acme-stream", 64, nil)
-	if err := svc.Deploy("acme-stream", &querc.Classifier{
-		LabelKey: "user", Embedder: embedder, Labeler: labeler,
-	}); err != nil {
+	if err := svc.Deploy("acme-stream", clf); err != nil {
 		log.Fatal(err)
 	}
 

@@ -8,6 +8,7 @@ import (
 	"log"
 
 	"querc"
+	"querc/internal/apps"
 	"querc/internal/snowgen"
 )
 
@@ -37,11 +38,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	checker := querc.RoutingChecker{
-		Embedder:      embedder,
-		Labeler:       querc.NewForestLabeler(querc.DefaultForestConfig()),
-		MinConfidence: 0.5,
-	}
+	checker := apps.NewRoutingChecker(embedder, querc.DefaultForestConfig())
+	checker.MinConfidence = 0.5
 	if err := checker.Train(sqls, clusters); err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"log"
 
 	"querc"
+	"querc/internal/apps"
 	"querc/internal/snowgen"
 )
 
@@ -36,11 +37,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	auditor := querc.SecurityAuditor{
-		Embedder:      embedder,
-		Labeler:       querc.NewForestLabeler(querc.DefaultForestConfig()),
-		MinConfidence: 0.10,
-	}
+	auditor := apps.NewSecurityAuditor(embedder, querc.DefaultForestConfig())
+	auditor.MinConfidence = 0.10
 	if err := auditor.Train(sqls, users); err != nil {
 		log.Fatal(err)
 	}

@@ -349,6 +349,66 @@ func TestResourceAllocatorTrainingAgreement(t *testing.T) {
 	}
 }
 
+// TestLabelingAppsDeployUnderTheirKeys: each labeling app's deployable
+// classifier writes the app's own label key, and labels queries exactly as
+// the app's own prediction method does.
+func TestLabelingAppsDeployUnderTheirKeys(t *testing.T) {
+	qs := snowWorkload(t)
+	var sqls, clusters, users, codes []string
+	var runtimes, mems []float64
+	for _, q := range qs {
+		sqls = append(sqls, q.SQL)
+		clusters = append(clusters, q.Cluster)
+		users = append(users, q.User)
+		codes = append(codes, q.ErrorCode)
+		runtimes = append(runtimes, q.RuntimeMS)
+		mems = append(mems, q.MemoryMB)
+	}
+	e, cfg := hashEmbedder{64}, forest.Config{NumTrees: 10, Seed: 7}
+	router := NewRoutingChecker(e, cfg)
+	auditor := NewSecurityAuditor(e, cfg)
+	auditor.MinConfidence = 2 // every query becomes a finding carrying its prediction
+	predictor := NewErrorPredictor(e, cfg)
+	alloc := NewResourceAllocator(e, cfg)
+	est := NewMemoryEstimator(e, cfg)
+	for _, err := range []error{
+		router.Train(sqls, clusters), auditor.Train(sqls, users), predictor.Train(sqls, codes),
+		alloc.Train(sqls, runtimes), est.Train(sqls, mems),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	probe := []string{sqls[0], sqls[len(sqls)/2], sqls[len(sqls)-1]}
+	for _, tc := range []struct {
+		key     string
+		clf     *core.Classifier
+		predict func(sql string) string
+	}{
+		{"cluster", router.Classifier(), func(sql string) string { p, _ := router.Route(sql); return p }},
+		{"user", auditor.Classifier(), func(sql string) string {
+			f, err := auditor.Audit([]string{sql}, []string{""})
+			if err != nil || len(f) != 1 {
+				t.Fatalf("audit of one query: %v, %d findings", err, len(f))
+			}
+			return f[0].Predicted
+		}},
+		{"error", predictor.Classifier(), func(sql string) string { p, _ := predictor.Predict(sql); return p }},
+		{"resource", alloc.Classifier(), func(sql string) string { c, _ := alloc.Predict(sql); return string(c) }},
+		{"memMB", est.Classifier(), func(sql string) string { mb, _ := est.Predict(sql); return formatMB(mb) }},
+	} {
+		if tc.clf.LabelKey != tc.key {
+			t.Fatalf("label key %q, want %q", tc.clf.LabelKey, tc.key)
+		}
+		for _, sql := range probe {
+			q := &core.LabeledQuery{SQL: sql}
+			if got, want := tc.clf.Process(q), tc.predict(sql); got != want || q.Label(tc.key) != want {
+				t.Fatalf("%s: deployed classifier labels %q (%q), app predicts %q", tc.key, got, q.Label(tc.key), want)
+			}
+		}
+	}
+}
+
 func TestQueryRecommenderSuggestsNext(t *testing.T) {
 	// Session pattern: users alternate A → B strictly.
 	var log []string

@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"fmt"
-
 	"querc/internal/core"
 	"querc/internal/ml/forest"
 )
@@ -19,55 +17,39 @@ type AuditFinding struct {
 // SecurityAuditor implements §4's security-audit application: a labeler
 // predicts the submitting user from query syntax alone; a mismatch against
 // the session's actual user (or a low-confidence match) flags the query for
-// audit — the signature of a possibly compromised account.
+// audit — the signature of a possibly compromised account. Its classifier
+// writes the "user" label.
 type SecurityAuditor struct {
-	Embedder core.Embedder
-	Labeler  *core.ForestLabeler
+	labelTask
 	// MinConfidence below which even a matching prediction is flagged.
 	MinConfidence float64
-	Workers       int
 }
 
 // NewSecurityAuditor builds an auditor with a fresh forest labeler.
 func NewSecurityAuditor(embedder core.Embedder, cfg forest.Config) *SecurityAuditor {
-	return &SecurityAuditor{
-		Embedder:      embedder,
-		Labeler:       core.NewForestLabeler(cfg),
-		MinConfidence: 0.15,
-	}
+	return &SecurityAuditor{labelTask: newLabelTask("user", embedder, cfg), MinConfidence: 0.15}
 }
 
 // Train fits the user model from historical (sql, user) pairs.
 func (a *SecurityAuditor) Train(sqls, users []string) error {
-	if len(sqls) != len(users) || len(sqls) == 0 {
-		return fmt.Errorf("apps: audit training set mismatch (%d, %d)", len(sqls), len(users))
-	}
-	X := core.EmbedAll(a.Embedder, sqls, a.Workers)
-	return a.Labeler.Fit(X, users)
+	return a.fit(sqls, users)
 }
 
 // Audit scores a stream of (sql, actual user) pairs and returns findings for
 // mismatches and low-confidence matches.
 func (a *SecurityAuditor) Audit(sqls, users []string) ([]AuditFinding, error) {
-	if len(sqls) != len(users) {
-		return nil, fmt.Errorf("apps: audit stream mismatch (%d, %d)", len(sqls), len(users))
+	preds, confs, err := a.predictStream(sqls, users)
+	if err != nil {
+		return nil, err
 	}
-	X := core.EmbedAll(a.Embedder, sqls, a.Workers)
 	var findings []AuditFinding
-	for i := range sqls {
-		pred, conf := a.Labeler.Confidence(X[i])
-		if pred != users[i] || conf < a.MinConfidence {
+	for i, pred := range preds {
+		if pred != users[i] || confs[i] < a.MinConfidence {
 			findings = append(findings, AuditFinding{
 				Index: i, SQL: sqls[i],
-				ActualUser: users[i], Predicted: pred, Confidence: conf,
+				ActualUser: users[i], Predicted: pred, Confidence: confs[i],
 			})
 		}
 	}
 	return findings, nil
-}
-
-// Classifier exposes the trained pair as a deployable core.Classifier under
-// the "user" label key.
-func (a *SecurityAuditor) Classifier() *core.Classifier {
-	return &core.Classifier{LabelKey: "user", Embedder: a.Embedder, Labeler: a.Labeler}
 }

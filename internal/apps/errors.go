@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"fmt"
-
 	"querc/internal/core"
 	"querc/internal/ml/forest"
 )
@@ -13,24 +11,20 @@ const OKLabel = "OK"
 // ErrorPredictor implements §4's error-prediction application: syntax
 // patterns correlate with resource errors and engine bugs, so a labeler
 // trained on historical error codes can route risky queries to an
-// instrumented or more stable runtime before execution.
+// instrumented or more stable runtime before execution. Its classifier
+// writes the "error" label.
 type ErrorPredictor struct {
-	Embedder core.Embedder
-	Labeler  *core.ForestLabeler
-	Workers  int
+	labelTask
 }
 
 // NewErrorPredictor builds a predictor with a fresh forest labeler.
 func NewErrorPredictor(embedder core.Embedder, cfg forest.Config) *ErrorPredictor {
-	return &ErrorPredictor{Embedder: embedder, Labeler: core.NewForestLabeler(cfg)}
+	return &ErrorPredictor{labelTask: newLabelTask("error", embedder, cfg)}
 }
 
 // Train fits the error model from (sql, errorCode) history, where "" means
 // success (normalized to OKLabel).
 func (p *ErrorPredictor) Train(sqls, errorCodes []string) error {
-	if len(sqls) != len(errorCodes) || len(sqls) == 0 {
-		return fmt.Errorf("apps: error training set mismatch (%d, %d)", len(sqls), len(errorCodes))
-	}
 	y := make([]string, len(errorCodes))
 	for i, c := range errorCodes {
 		if c == "" {
@@ -39,13 +33,12 @@ func (p *ErrorPredictor) Train(sqls, errorCodes []string) error {
 			y[i] = c
 		}
 	}
-	X := core.EmbedAll(p.Embedder, sqls, p.Workers)
-	return p.Labeler.Fit(X, y)
+	return p.fit(sqls, y)
 }
 
 // Predict returns the expected error code for sql (OKLabel when none).
 func (p *ErrorPredictor) Predict(sql string) (string, float64) {
-	return p.Labeler.Confidence(p.Embedder.Embed(sql))
+	return p.predict(sql)
 }
 
 // Risky reports whether the query should be diverted to the instrumented
@@ -53,9 +46,4 @@ func (p *ErrorPredictor) Predict(sql string) (string, float64) {
 func (p *ErrorPredictor) Risky(sql string, minConfidence float64) (bool, string) {
 	pred, conf := p.Predict(sql)
 	return pred != OKLabel && conf >= minConfidence, pred
-}
-
-// Classifier exposes the trained pair under the "error" label key.
-func (p *ErrorPredictor) Classifier() *core.Classifier {
-	return &core.Classifier{LabelKey: "error", Embedder: p.Embedder, Labeler: p.Labeler}
 }

@@ -21,11 +21,11 @@ const defaultMemoryBuckets = 8
 // working-set estimate the dispatcher can budget against. It is a bucketed
 // regressor over the shared embedding — the forest classifies into a
 // quantile bucket whose label is its representative size in megabytes, and
-// Predict parses that label back into a number.
+// Predict parses that label back into a number. Its classifier writes the
+// "memMB" label, the key sched.Config.MemKey reads by default, so deploying
+// it is all the plumbing memory-aware admission needs.
 type MemoryEstimator struct {
-	Embedder core.Embedder
-	Labeler  *core.ForestLabeler
-	Workers  int
+	labelTask
 	// Buckets is the quantile-bucket count (default 8). Buckets whose value
 	// range collapses under ties merge, so the effective count can be lower
 	// on narrow distributions.
@@ -40,7 +40,7 @@ type MemoryEstimator struct {
 
 // NewMemoryEstimator builds an estimator with a fresh forest labeler.
 func NewMemoryEstimator(embedder core.Embedder, cfg forest.Config) *MemoryEstimator {
-	return &MemoryEstimator{Embedder: embedder, Labeler: core.NewForestLabeler(cfg)}
+	return &MemoryEstimator{labelTask: newLabelTask("memMB", embedder, cfg)}
 }
 
 // Train fits the bucket model from (sql, memoryMB) history: quantile cut
@@ -86,8 +86,7 @@ func (m *MemoryEstimator) Train(sqls []string, memMB []float64) error {
 	for i, mb := range memMB {
 		y[i] = formatMB(m.bucketRep(mb))
 	}
-	X := core.EmbedAll(m.Embedder, sqls, m.Workers)
-	return m.Labeler.Fit(X, y)
+	return m.fit(sqls, y)
 }
 
 // bucketRep returns the representative MB of the bucket containing mb.
@@ -112,15 +111,8 @@ func (m *MemoryEstimator) TrueMB(memMB float64) float64 {
 // Predict returns the estimated working set in MB for sql and the forest's
 // confidence in the bucket.
 func (m *MemoryEstimator) Predict(sql string) (float64, float64) {
-	label, conf := m.Labeler.Confidence(m.Embedder.Embed(sql))
+	label, conf := m.predict(sql)
 	return parseMB(label), conf
-}
-
-// Classifier exposes the trained pair under the "memMB" label key — the key
-// sched.Config.MemKey reads by default, so deploying this classifier is all
-// the plumbing memory-aware admission needs.
-func (m *MemoryEstimator) Classifier() *core.Classifier {
-	return &core.Classifier{LabelKey: "memMB", Embedder: m.Embedder, Labeler: m.Labeler}
 }
 
 // formatMB renders a bucket representative as its class label. The label is

@@ -23,11 +23,9 @@ const (
 // ResourceAllocator implements §4's resource-allocation application: it
 // buckets historical runtimes into tertiles and learns to predict the bucket
 // from query syntax, giving the scheduler a database-agnostic admission
-// hint.
+// hint. Its classifier writes the "resource" label.
 type ResourceAllocator struct {
-	Embedder core.Embedder
-	Labeler  *core.ForestLabeler
-	Workers  int
+	labelTask
 
 	// Cut points (runtime ms) learned from the training distribution.
 	LightMax, MediumMax float64
@@ -35,7 +33,7 @@ type ResourceAllocator struct {
 
 // NewResourceAllocator builds an allocator with a fresh forest labeler.
 func NewResourceAllocator(embedder core.Embedder, cfg forest.Config) *ResourceAllocator {
-	return &ResourceAllocator{Embedder: embedder, Labeler: core.NewForestLabeler(cfg)}
+	return &ResourceAllocator{labelTask: newLabelTask("resource", embedder, cfg)}
 }
 
 // Train fits the class model from (sql, runtimeMS) history. Buckets are the
@@ -64,8 +62,7 @@ func (r *ResourceAllocator) Train(sqls []string, runtimesMS []float64) error {
 	for i, rt := range runtimesMS {
 		y[i] = string(r.classify(rt))
 	}
-	X := core.EmbedAll(r.Embedder, sqls, r.Workers)
-	return r.Labeler.Fit(X, y)
+	return r.fit(sqls, y)
 }
 
 func (r *ResourceAllocator) classify(runtimeMS float64) ResourceClass {
@@ -87,11 +84,6 @@ func (r *ResourceAllocator) TrueClass(runtimeMS float64) ResourceClass {
 
 // Predict returns the expected resource class for sql.
 func (r *ResourceAllocator) Predict(sql string) (ResourceClass, float64) {
-	label, conf := r.Labeler.Confidence(r.Embedder.Embed(sql))
+	label, conf := r.predict(sql)
 	return ResourceClass(label), conf
-}
-
-// Classifier exposes the trained pair under the "resource" label key.
-func (r *ResourceAllocator) Classifier() *core.Classifier {
-	return &core.Classifier{LabelKey: "resource", Embedder: r.Embedder, Labeler: r.Labeler}
 }

@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"fmt"
-
 	"querc/internal/core"
 	"querc/internal/ml/forest"
 )
@@ -21,47 +19,37 @@ type RoutingFinding struct {
 // RoutingChecker implements §4's query-routing application. Under the
 // hypothesis that "queries that follow a particular policy tend to have
 // similar features", it learns assigned-cluster labels from query vectors
-// and flags assignments that disagree with confident predictions.
+// and flags assignments that disagree with confident predictions. Its
+// classifier writes the "cluster" label.
 type RoutingChecker struct {
-	Embedder core.Embedder
-	Labeler  *core.ForestLabeler
+	labelTask
 	// MinConfidence a disagreement must reach before it is reported.
 	MinConfidence float64
-	Workers       int
 }
 
 // NewRoutingChecker builds a checker with a fresh forest labeler.
 func NewRoutingChecker(embedder core.Embedder, cfg forest.Config) *RoutingChecker {
-	return &RoutingChecker{
-		Embedder:      embedder,
-		Labeler:       core.NewForestLabeler(cfg),
-		MinConfidence: 0.6,
-	}
+	return &RoutingChecker{labelTask: newLabelTask("cluster", embedder, cfg), MinConfidence: 0.6}
 }
 
 // Train fits the cluster model from historical (sql, cluster) assignments.
 func (r *RoutingChecker) Train(sqls, clusters []string) error {
-	if len(sqls) != len(clusters) || len(sqls) == 0 {
-		return fmt.Errorf("apps: routing training set mismatch (%d, %d)", len(sqls), len(clusters))
-	}
-	X := core.EmbedAll(r.Embedder, sqls, r.Workers)
-	return r.Labeler.Fit(X, clusters)
+	return r.fit(sqls, clusters)
 }
 
 // Check flags queries whose assigned cluster contradicts a confident model
 // prediction — candidate policy misconfigurations.
 func (r *RoutingChecker) Check(sqls, assigned []string) ([]RoutingFinding, error) {
-	if len(sqls) != len(assigned) {
-		return nil, fmt.Errorf("apps: routing stream mismatch (%d, %d)", len(sqls), len(assigned))
+	preds, confs, err := r.predictStream(sqls, assigned)
+	if err != nil {
+		return nil, err
 	}
-	X := core.EmbedAll(r.Embedder, sqls, r.Workers)
 	var findings []RoutingFinding
-	for i := range sqls {
-		pred, conf := r.Labeler.Confidence(X[i])
-		if pred != assigned[i] && conf >= r.MinConfidence {
+	for i, pred := range preds {
+		if pred != assigned[i] && confs[i] >= r.MinConfidence {
 			findings = append(findings, RoutingFinding{
 				Index: i, SQL: sqls[i],
-				Assigned: assigned[i], Predicted: pred, Confidence: conf,
+				Assigned: assigned[i], Predicted: pred, Confidence: confs[i],
 			})
 		}
 	}
@@ -70,10 +58,5 @@ func (r *RoutingChecker) Check(sqls, assigned []string) ([]RoutingFinding, error
 
 // Route predicts the cluster for a new query (speculative routing).
 func (r *RoutingChecker) Route(sql string) (string, float64) {
-	return r.Labeler.Confidence(r.Embedder.Embed(sql))
-}
-
-// Classifier exposes the trained pair under the "cluster" label key.
-func (r *RoutingChecker) Classifier() *core.Classifier {
-	return &core.Classifier{LabelKey: "cluster", Embedder: r.Embedder, Labeler: r.Labeler}
+	return r.predict(sql)
 }

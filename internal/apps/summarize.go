@@ -3,9 +3,13 @@
 // for index recommendation, security auditing, query-routing policy checks,
 // error prediction, resource allocation, and query recommendation.
 //
-// Every application reduces to query labeling (the paper's central claim):
-// each one wires an embedder to a labeler or an offline clustering job and
-// interprets the labels in its own domain.
+// Every application reduces to query labeling (the paper's central claim).
+// The five labeling applications — security audit, routing checks, error
+// prediction, resource allocation, and memory estimation — share one
+// embedder-plus-forest part that trains through core.Fit, the same routine
+// the training module retrains with, and each interprets its labels in its
+// own domain. Summarization and recommendation cluster the embeddings
+// instead.
 package apps
 
 import (
@@ -124,8 +128,14 @@ func (b *BaselineSummarizer) Summarize(sqls []string) (*SummaryResult, error) {
 	return out, nil
 }
 
+// normalize scales points to unit length in place. core.EmbedAll hands
+// repeated texts one shared vector, so each distinct vector is scaled once.
 func normalize(points []vec.Vector) {
+	done := make(map[*float64]bool, len(points))
 	for _, p := range points {
-		p.Normalize()
+		if len(p) > 0 && !done[&p[0]] {
+			done[&p[0]] = true
+			p.Normalize()
+		}
 	}
 }

@@ -107,17 +107,6 @@ type Embedder interface {
 	Name() string
 }
 
-// BatchEmbedder is an Embedder that can embed many texts in one call. The
-// batch form lets implementations dedupe identical token sequences before
-// inference (the doc2vec and LSTM adapters do), so a batch dominated by
-// literal repeats pays for each distinct query once. EmbedBatch returns one
-// vector per input, index-aligned; duplicated inputs may share the same
-// backing vector, so callers must treat returned vectors as immutable.
-type BatchEmbedder interface {
-	Embedder
-	EmbedBatch(sqls []string) []vec.Vector
-}
-
 // TokenizedEmbedder is an Embedder that can consume pre-tokenized query
 // text. The Qworker runtime lexes each query once per submit
 // (TokenizeForEmbedding) and hands the token sequence to every deployed
@@ -130,11 +119,6 @@ type TokenizedEmbedder interface {
 	// TokenizeForEmbedding on the query text; the slice is read, not
 	// retained.
 	EmbedTokens(tokens []string) vec.Vector
-	// EmbedTokensBatch embeds a batch of pre-tokenized queries, deduping
-	// identical sequences before inference. One vector per input,
-	// index-aligned; duplicated inputs may share a backing vector, so
-	// callers treat returned vectors as immutable.
-	EmbedTokensBatch(docs [][]string) []vec.Vector
 }
 
 // Labeler maps a query vector to a label value. Implementations must be safe

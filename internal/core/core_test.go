@@ -415,6 +415,32 @@ func TestTrainingModuleNoData(t *testing.T) {
 	}
 }
 
+// fitCountingLabeler is a TrainableLabeler that counts its Fit calls.
+type fitCountingLabeler struct {
+	NearestCentroidLabeler
+	fits int
+}
+
+func (f *fitCountingLabeler) Fit(X []vec.Vector, y []string) error {
+	f.fits++
+	return f.NearestCentroidLabeler.Fit(X, y)
+}
+
+// TestRetrainGatedRejectsTinySet: a one-row set cannot be split into a
+// training half and a holdout, so the gate refuses it before fitting.
+func TestRetrainGatedRejectsTinySet(t *testing.T) {
+	tm := NewTrainingModule()
+	q := &LabeledQuery{SQL: "select 1"}
+	q.SetLabel("user", "alice")
+	tm.IngestBatch("app", []*LabeledQuery{q})
+	old := &Classifier{LabelKey: "user", Embedder: stubEmbedder{4},
+		Labeler: &RuleLabeler{RuleName: "r", Rule: func(vec.Vector) string { return "alice" }}}
+	lab := &fitCountingLabeler{}
+	if _, _, _, _, err := tm.RetrainGated("app", "user", old, lab, 0.2, 1); err == nil || lab.fits != 0 {
+		t.Fatalf("one-row set: err %v after %d fits, want an error and no fit", err, lab.fits)
+	}
+}
+
 func TestServiceTopology(t *testing.T) {
 	s := NewService()
 	var dbReceived int

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"querc/internal/doc2vec"
 	"querc/internal/lstm"
@@ -42,16 +44,6 @@ func (e *Doc2VecEmbedder) Embed(sql string) vec.Vector {
 	return e.Model.Infer(TokenizeForEmbedding(sql))
 }
 
-// EmbedBatch implements BatchEmbedder: identical token sequences are
-// inferred once and share one vector.
-func (e *Doc2VecEmbedder) EmbedBatch(sqls []string) []vec.Vector {
-	docs := make([][]string, len(sqls))
-	for i, sql := range sqls {
-		docs[i] = TokenizeForEmbedding(sql)
-	}
-	return e.Model.InferBatch(docs)
-}
-
 // EmbedTokens implements TokenizedEmbedder.
 //
 //querc:hotpath
@@ -59,8 +51,11 @@ func (e *Doc2VecEmbedder) EmbedTokens(tokens []string) vec.Vector {
 	return e.Model.Infer(tokens)
 }
 
-// EmbedTokensBatch implements TokenizedEmbedder: identical sequences are
-// inferred once, distinct ones fan out across the model's inference pool.
+// EmbedTokensBatch embeds a batch of pre-tokenized queries, inferring
+// identical sequences once and fanning distinct ones across the model's
+// inference pool. No service path calls it (EmbedAllCached and ProcessBatch
+// embed per text on their own pools); it is kept for the benchmark ladder,
+// which measures doc2vec.InferBatch through it.
 func (e *Doc2VecEmbedder) EmbedTokensBatch(docs [][]string) []vec.Vector {
 	return e.Model.InferBatch(docs)
 }
@@ -95,27 +90,11 @@ func (e *LSTMEmbedder) Embed(sql string) vec.Vector {
 	return e.Model.Encode(TokenizeForEmbedding(sql))
 }
 
-// EmbedBatch implements BatchEmbedder: identical token sequences are
-// encoded once and share one vector.
-func (e *LSTMEmbedder) EmbedBatch(sqls []string) []vec.Vector {
-	docs := make([][]string, len(sqls))
-	for i, sql := range sqls {
-		docs[i] = TokenizeForEmbedding(sql)
-	}
-	return e.Model.EncodeBatch(docs)
-}
-
 // EmbedTokens implements TokenizedEmbedder.
 //
 //querc:hotpath
 func (e *LSTMEmbedder) EmbedTokens(tokens []string) vec.Vector {
 	return e.Model.Encode(tokens)
-}
-
-// EmbedTokensBatch implements TokenizedEmbedder: identical sequences are
-// encoded once, distinct ones fan out across the model's encoder pool.
-func (e *LSTMEmbedder) EmbedTokensBatch(docs [][]string) []vec.Vector {
-	return e.Model.EncodeBatch(docs)
 }
 
 // Dim implements Embedder.
@@ -124,110 +103,69 @@ func (e *LSTMEmbedder) Dim() int { return e.Model.Dim() }
 // Name implements Embedder.
 func (e *LSTMEmbedder) Name() string { return "lstm(" + e.ModelName + ")" }
 
-// EmbedTexts embeds sqls in one call, routing through the EmbedBatch fast
-// path (with its identical-input dedupe) when e implements BatchEmbedder.
-// Note the learned adapters' batch paths may fan distinct inputs across
-// their own bounded pool, so callers that already run one worker per core
-// (ProcessBatch, EmbedAll) take the serial EmbedTokens path of a
-// TokenizedEmbedder instead and reach EmbedTexts only for string-only
-// embedders.
-func EmbedTexts(e Embedder, sqls []string) []vec.Vector {
-	if be, ok := e.(BatchEmbedder); ok {
-		return be.EmbedBatch(sqls)
-	}
-	out := make([]vec.Vector, len(sqls))
-	for i, sql := range sqls {
-		out[i] = e.Embed(sql)
-	}
-	return out
+// EmbedAll embeds a batch of query texts (EmbedAllCached without a cache).
+func EmbedAll(e Embedder, sqls []string, workers int) []vec.Vector {
+	return EmbedAllCached(e, sqls, workers, nil)
 }
 
-// EmbedAll embeds a batch of query texts, fanning out across workers
-// goroutines (embedding is read-only on the model). workers <= 0 uses
-// GOMAXPROCS, matching the ProcessBatch default. Tokenized embedders are
-// driven serially per worker with a worker-local dedupe memo (this pool is
-// already one goroutine per core, so the adapters' internal batch fan-out
-// would only oversubscribe); other embedders go through the BatchEmbedder
-// fast path per chunk.
-func EmbedAll(e Embedder, sqls []string, workers int) []vec.Vector {
+// EmbedAllCached is the one batch-embed routine: it returns one vector per
+// input, fanning out across workers goroutines (workers <= 0 uses
+// GOMAXPROCS, the ProcessBatch default). The batch is deduplicated by text
+// up front, as ProcessBatch does, and workers claim 64-text chunks of the
+// distinct texts. Each text is looked up in cache (nil disables), embedded on
+// a miss — through EmbedTokens for a TokenizedEmbedder — and put back.
+// Retraining several labelers on one embedder thus embeds the training set
+// once, later calls served from warm vectors. Repeats share one (immutable)
+// vector.
+func EmbedAllCached(e Embedder, sqls []string, workers int, cache *VectorCache) []vec.Vector {
+	first := make(map[string]int, len(sqls))
+	var uniq []string
+	for _, sql := range sqls {
+		if _, ok := first[sql]; !ok {
+			first[sql] = len(uniq)
+			uniq = append(uniq, sql)
+		}
+	}
+	name := e.Name()
+	te, tokOK := e.(TokenizedEmbedder)
+	vecs := make([]vec.Vector, len(uniq))
+	embed := func(i int) {
+		v, ok := cache.Get(name, uniq[i])
+		if !ok {
+			if tokOK {
+				v = te.EmbedTokens(TokenizeForEmbedding(uniq[i]))
+			} else {
+				v = e.Embed(uniq[i])
+			}
+			cache.Put(name, uniq[i], v)
+		}
+		vecs[i] = v
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	out := make([]vec.Vector, len(sqls))
-	te, tokOK := e.(TokenizedEmbedder)
-	type job struct{ lo, hi int }
-	jobs := make(chan job, workers)
-	done := make(chan struct{}, workers)
+	workers = min(workers, (len(uniq)+batchChunk-1)/batchChunk)
+	var next atomic.Int64
+	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
+		wg.Add(1)
 		go func() {
-			var memo map[string]vec.Vector
-			if tokOK {
-				memo = make(map[string]vec.Vector)
-			}
-			for j := range jobs {
-				if tokOK {
-					for i := j.lo; i < j.hi; i++ {
-						if v, ok := memo[sqls[i]]; ok {
-							out[i] = v
-							continue
-						}
-						v := te.EmbedTokens(TokenizeForEmbedding(sqls[i]))
-						memo[sqls[i]] = v
-						out[i] = v
-					}
-					continue
+			defer wg.Done()
+			for {
+				lo := int(next.Add(batchChunk)) - batchChunk
+				if lo >= len(uniq) {
+					return
 				}
-				copy(out[j.lo:j.hi], EmbedTexts(e, sqls[j.lo:j.hi]))
+				for i := lo; i < min(lo+batchChunk, len(uniq)); i++ {
+					embed(i)
+				}
 			}
-			done <- struct{}{}
 		}()
 	}
-	const chunk = 64
-	for lo := 0; lo < len(sqls); lo += chunk {
-		hi := lo + chunk
-		if hi > len(sqls) {
-			hi = len(sqls)
-		}
-		jobs <- job{lo, hi}
-	}
-	close(jobs)
-	for w := 0; w < workers; w++ {
-		<-done
-	}
-	return out
-}
-
-// EmbedAllCached embeds sqls like EmbedAll but embeds each distinct text at
-// most once, consulting (and filling) the shared vector cache first. cache
-// may be nil, in which case only the in-call dedupe applies. This is the
-// batch-embed path of the training module: retraining several labelers on
-// one embedder embeds the training set once, with later calls served from
-// warm vectors. Duplicated inputs share one (immutable) vector.
-func EmbedAllCached(e Embedder, sqls []string, workers int, cache *VectorCache) []vec.Vector {
-	name := e.Name()
-	vecs := make(map[string]vec.Vector, len(sqls))
-	var miss []string
-	for _, sql := range sqls {
-		if _, ok := vecs[sql]; ok {
-			continue
-		}
-		if v, ok := cache.Get(name, sql); ok {
-			vecs[sql] = v
-			continue
-		}
-		vecs[sql] = nil
-		miss = append(miss, sql)
-	}
-	if len(miss) > 0 {
-		vs := EmbedAll(e, miss, workers)
-		for i, sql := range miss {
-			vecs[sql] = vs[i]
-			cache.Put(name, sql, vs[i])
-		}
-	}
+	wg.Wait()
 	out := make([]vec.Vector, len(sqls))
 	for i, sql := range sqls {
-		out[i] = vecs[sql]
+		out[i] = vecs[first[sql]]
 	}
 	return out
 }

@@ -290,31 +290,43 @@ func TestEmbedAllCached(t *testing.T) {
 	}
 }
 
-// batchCountingEmbedder implements BatchEmbedder and records how work
-// arrives.
-type batchCountingEmbedder struct {
+// countingTokenEmbedder is a countingEmbedder that also offers the
+// pre-tokenized path, counting those calls on their own atomic counter.
+type countingTokenEmbedder struct {
 	countingEmbedder
-	batches atomic.Int64
+	tokens atomic.Int64
 }
 
-func (b *batchCountingEmbedder) EmbedBatch(sqls []string) []vec.Vector {
-	b.batches.Add(1)
-	out := make([]vec.Vector, len(sqls))
-	for i, sql := range sqls {
-		out[i] = b.Embed(sql)
+func (c *countingTokenEmbedder) EmbedTokens(toks []string) vec.Vector {
+	c.tokens.Add(1)
+	v := vec.New(c.dim)
+	for _, tok := range toks {
+		for i := 0; i < len(tok); i++ {
+			v[int(tok[i])%c.dim]++
+		}
 	}
-	return out
+	return v
 }
 
-func TestEmbedTextsUsesBatchPath(t *testing.T) {
-	be := &batchCountingEmbedder{countingEmbedder: countingEmbedder{name: "b", dim: 4}}
-	out := EmbedTexts(be, []string{"a", "b", "c"})
-	if len(out) != 3 || be.batches.Load() != 1 {
-		t.Fatalf("batch path not taken: %d batches", be.batches.Load())
+// TestEmbedAllEmbedsDistinctOnce: a batch of 640 texts with 40 distinct
+// embeds exactly 40 times at any worker count, on the string-only path and
+// on the pre-tokenized one alike.
+func TestEmbedAllEmbedsDistinctOnce(t *testing.T) {
+	sqls := make([]string, 640)
+	for i := range sqls {
+		sqls[i] = fmt.Sprintf("select %d from t", i%40)
 	}
-	plain := &countingEmbedder{name: "p", dim: 4}
-	if got := EmbedTexts(plain, []string{"a", "b"}); len(got) != 2 || plain.n.Load() != 2 {
-		t.Fatal("plain path must loop Embed")
+	for _, workers := range []int{1, 8} {
+		plain := &countingEmbedder{name: "plain", dim: 8}
+		tok := &countingTokenEmbedder{countingEmbedder: countingEmbedder{name: "tok", dim: 8}}
+		EmbedAll(plain, sqls, workers)
+		EmbedAll(tok, sqls, workers)
+		if got := plain.n.Load(); got != 40 {
+			t.Fatalf("workers %d: string-only embeds %d, want 40", workers, got)
+		}
+		if got := tok.tokens.Load(); got != 40 || tok.n.Load() != 0 {
+			t.Fatalf("workers %d: tokenized embeds %d (string path %d), want 40 (0)", workers, got, tok.n.Load())
+		}
 	}
 }
 
@@ -381,11 +393,10 @@ func TestRetrainSharedEmbedderEmbedsOnce(t *testing.T) {
 // tests below drive it from a single goroutine (Process, or ProcessBatch
 // with one worker).
 type tokenEmbedder struct {
-	name                                string
-	dim                                 int
-	stringCalls, tokenCalls, batchCalls int
-	batchDocs                           int        // total docs seen by EmbedTokensBatch
-	seen                                [][]string // token slices received, in call order
+	name                    string
+	dim                     int
+	stringCalls, tokenCalls int
+	seen                    [][]string // token slices received, in call order
 }
 
 func (e *tokenEmbedder) embedTokens(tokens []string) vec.Vector {
@@ -407,16 +418,6 @@ func (e *tokenEmbedder) EmbedTokens(tokens []string) vec.Vector {
 	e.tokenCalls++
 	e.seen = append(e.seen, tokens)
 	return e.embedTokens(tokens)
-}
-
-func (e *tokenEmbedder) EmbedTokensBatch(docs [][]string) []vec.Vector {
-	e.batchCalls++
-	e.batchDocs += len(docs)
-	out := make([]vec.Vector, len(docs))
-	for i, d := range docs {
-		out[i] = e.embedTokens(d)
-	}
-	return out
 }
 
 func (e *tokenEmbedder) Dim() int     { return e.dim }
@@ -455,9 +456,8 @@ func TestProcessTokenizesOncePerSubmit(t *testing.T) {
 }
 
 // TestProcessBatchUsesTokenizedBatchPath: cache-missed texts are lexed and
-// embedded once per distinct text via the pre-tokenized path — serially on
-// the batch worker's goroutine, not through a nested EmbedTokensBatch pool
-// (ProcessBatch already runs one worker per core).
+// embedded once per distinct text via the pre-tokenized path, never the
+// string Embed path.
 func TestProcessBatchUsesTokenizedBatchPath(t *testing.T) {
 	e := &tokenEmbedder{name: "tok", dim: 8}
 	w := NewQworker("app", 16) // no shared cache
@@ -467,7 +467,7 @@ func TestProcessBatchUsesTokenizedBatchPath(t *testing.T) {
 		qs[i] = &LabeledQuery{SQL: fmt.Sprintf("select %d from t", i%40)}
 	}
 	w.ProcessBatch(qs, 1)
-	if e.stringCalls != 0 || e.batchCalls != 0 {
+	if e.stringCalls != 0 {
 		t.Fatalf("batch path must use per-doc EmbedTokens: %+v", e)
 	}
 	if e.tokenCalls != 40 {
@@ -514,8 +514,8 @@ func TestTokenizedPathLabelEquivalence(t *testing.T) {
 	}
 }
 
-// stringOnlyEmbedder hides the TokenizedEmbedder (and BatchEmbedder) fast
-// paths of its inner embedder.
+// stringOnlyEmbedder hides the TokenizedEmbedder fast path of its inner
+// embedder, so the runtime embeds through Embed per cache miss.
 type stringOnlyEmbedder struct{ inner Embedder }
 
 func (s stringOnlyEmbedder) Embed(sql string) vec.Vector { return s.inner.Embed(sql) }

@@ -455,12 +455,8 @@ func (s *batchScratch) annotate(b *batch, lo int) {
 					vs[i] = te.EmbedTokens(toks[i])
 				}
 			} else {
-				texts := make([]string, len(miss))
-				for j, i := range miss {
-					texts[j] = chunk[i].SQL
-				}
-				for j, ev := range EmbedTexts(g.embedder, texts) {
-					vs[miss[j]] = ev
+				for _, i := range miss {
+					vs[i] = g.embedder.Embed(chunk[i].SQL)
 				}
 			}
 			embed += traceNow(traced).Sub(t0)

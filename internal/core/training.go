@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"sync"
+
+	"querc/internal/vec"
 )
 
 // TrainingModule is the central "Training, Evaluation & Offline Labeling"
@@ -169,6 +171,42 @@ func (t *TrainingModule) Size(app string) int {
 	return len(s.retainedLocked())
 }
 
+// Fit is the one path from labeled text to a classifier: it embeds sqls
+// through EmbedAllCached (workers goroutines; cache may be nil), fits labeler
+// on the vectors against the index-aligned labels y, and returns the
+// deployable classifier writing under key. The training module and every §4
+// labeling app train through it.
+func Fit(key string, embedder Embedder, labeler TrainableLabeler, sqls, y []string, workers int, cache *VectorCache) (*Classifier, error) {
+	if len(sqls) != len(y) || len(sqls) == 0 {
+		return nil, fmt.Errorf("core: fit %q: need as many labels as texts, at least one (%d, %d)", key, len(sqls), len(y))
+	}
+	if err := labeler.Fit(EmbedAllCached(embedder, sqls, workers, cache), y); err != nil {
+		return nil, fmt.Errorf("core: fit %q: %w", key, err)
+	}
+	return &Classifier{LabelKey: key, Embedder: embedder, Labeler: labeler}, nil
+}
+
+// texts splits labeled queries into their texts and labelKey values.
+func texts(set []*LabeledQuery, labelKey string) (sqls, y []string) {
+	sqls = make([]string, len(set))
+	y = make([]string, len(set))
+	for i, q := range set {
+		sqls[i], y[i] = q.SQL, q.Labels[labelKey]
+	}
+	return sqls, y
+}
+
+// accuracy is the fraction of X that l labels as the aligned truth y.
+func accuracy(l Labeler, X []vec.Vector, y []string) float64 {
+	correct := 0
+	for i, v := range X {
+		if l.Label(v) == y[i] {
+			correct++
+		}
+	}
+	return float64(correct) / float64(len(y))
+}
+
 // Retrain fits labeler on app's training set for labelKey using embedder for
 // features, then returns the deployable classifier. workers parallelizes the
 // embedding pass, which runs on the shared embedding plane: each distinct
@@ -180,17 +218,12 @@ func (t *TrainingModule) Retrain(app, labelKey string, embedder Embedder, labele
 	if len(set) == 0 {
 		return nil, fmt.Errorf("core: no training data for app %q label %q", app, labelKey)
 	}
-	sqls := make([]string, len(set))
-	y := make([]string, len(set))
-	for i, q := range set {
-		sqls[i] = q.SQL
-		y[i] = q.Labels[labelKey]
+	sqls, y := texts(set, labelKey)
+	c, err := Fit(labelKey, embedder, labeler, sqls, y, workers, t.vectorCache())
+	if err != nil {
+		return nil, fmt.Errorf("core: retrain %s: %w", app, err)
 	}
-	X := EmbedAllCached(embedder, sqls, workers, t.vectorCache())
-	if err := labeler.Fit(X, y); err != nil {
-		return nil, fmt.Errorf("core: retrain %s/%s: %w", app, labelKey, err)
-	}
-	return &Classifier{LabelKey: labelKey, Embedder: embedder, Labeler: labeler}, nil
+	return c, nil
 }
 
 // RetrainGated retrains labeler for (app, labelKey) with a clean old-vs-new
@@ -199,99 +232,49 @@ func (t *TrainingModule) Retrain(app, labelKey string, embedder Embedder, labele
 // full set), and both the incumbent and the challenger are scored on the
 // same holdout. The challenger rides the incumbent's embedder — embedders
 // are the expensive, centrally trained, shared half of a classifier, and the
-// drift plane retrains only the cheap per-tenant labeler. The caller — the drift controller — feeds the accuracies to
-// eval.ShouldPromote; nothing is deployed here. Because the training set is
-// kept in arrival order and retention-capped, the holdout is the most recent
-// traffic: exactly the slice a drifted workload has shifted.
+// drift plane retrains only the cheap per-tenant labeler. The caller — the
+// drift controller — feeds the accuracies to eval.ShouldPromote; nothing is
+// deployed here. Because the training set is kept in arrival order and
+// retention-capped, the holdout is the most recent traffic: exactly the
+// slice a drifted workload has shifted. A set of fewer than two rows cannot
+// be split into both halves and is rejected before anything is fitted.
 //
 // Returns the fitted challenger classifier, the incumbent's and challenger's
 // holdout accuracies, and the holdout size.
 func (t *TrainingModule) RetrainGated(app, labelKey string, old *Classifier, labeler TrainableLabeler, holdoutFrac float64, workers int) (*Classifier, float64, float64, int, error) {
 	set := t.TrainingSet(app, labelKey)
-	if len(set) == 0 {
-		return nil, 0, 0, 0, fmt.Errorf("core: no training data for app %q label %q", app, labelKey)
+	if len(set) < 2 {
+		return nil, 0, 0, 0, fmt.Errorf("core: training set for %s/%s too small to gate (%d)", app, labelKey, len(set))
 	}
 	if holdoutFrac <= 0 || holdoutFrac > 0.5 {
 		holdoutFrac = 0.2
 	}
-	split := int(float64(len(set)) * (1 - holdoutFrac))
-	if split < 1 {
-		split = 1
+	split := min(int(float64(len(set))*(1-holdoutFrac)), len(set)-1) // >= 1 since holdoutFrac <= 0.5
+	sqls, y := texts(set, labelKey)
+	cache := t.vectorCache()
+	fresh, err := Fit(labelKey, old.Embedder, labeler, sqls[:split], y[:split], workers, cache)
+	if err != nil {
+		return nil, 0, 0, 0, fmt.Errorf("core: retrain %s: %w", app, err)
 	}
-	if split >= len(set) {
-		split = len(set) - 1
-	}
-	train, hold := set[:split], set[split:]
-	if len(hold) == 0 {
-		return nil, 0, 0, 0, fmt.Errorf("core: training set for %s/%s too small to gate (%d)", app, labelKey, len(set))
-	}
-	embedder := old.Embedder
-	sqls := make([]string, len(train))
-	y := make([]string, len(train))
-	for i, q := range train {
-		sqls[i] = q.SQL
-		y[i] = q.Labels[labelKey]
-	}
-	X := EmbedAllCached(embedder, sqls, workers, t.vectorCache())
-	if err := labeler.Fit(X, y); err != nil {
-		return nil, 0, 0, 0, fmt.Errorf("core: retrain %s/%s: %w", app, labelKey, err)
-	}
-	fresh := &Classifier{LabelKey: labelKey, Embedder: embedder, Labeler: labeler}
-
-	holdSQLs := make([]string, len(hold))
-	for i, q := range hold {
-		holdSQLs[i] = q.SQL
-	}
-	holdX := EmbedAllCached(embedder, holdSQLs, workers, t.vectorCache())
-	oldCorrect, newCorrect := 0, 0
-	for i, q := range hold {
-		truth := q.Labels[labelKey]
-		if old.Labeler.Label(holdX[i]) == truth {
-			oldCorrect++
-		}
-		if fresh.Labeler.Label(holdX[i]) == truth {
-			newCorrect++
-		}
-	}
-	n := len(hold)
-	return fresh, float64(oldCorrect) / float64(n), float64(newCorrect) / float64(n), n, nil
+	holdX := EmbedAllCached(old.Embedder, sqls[split:], workers, cache)
+	holdY := y[split:]
+	return fresh, accuracy(old.Labeler, holdX, holdY), accuracy(labeler, holdX, holdY), len(holdY), nil
 }
 
 // Evaluate measures holdout accuracy of a classifier on app's training set
 // for labelKey: the last holdoutFrac of the set is scored, the rest ignored
-// (the training module's bookkeeping for deployment decisions).
+// (the training module's bookkeeping for deployment decisions). The holdout
+// is embedded on the same batch path as Retrain, so an Evaluate right after
+// Retrain re-embeds nothing.
 func (t *TrainingModule) Evaluate(app, labelKey string, c *Classifier, holdoutFrac float64) (float64, int) {
 	set := t.TrainingSet(app, labelKey)
-	if len(set) == 0 {
-		return 0, 0
-	}
 	if holdoutFrac <= 0 || holdoutFrac > 1 {
 		holdoutFrac = 0.2
 	}
-	start := int(float64(len(set)) * (1 - holdoutFrac))
-	if start < 0 {
-		start = 0
-	}
-	if start > len(set) {
-		start = len(set)
-	}
-	hold := set[start:]
+	hold := set[int(float64(len(set))*(1-holdoutFrac)):]
 	if len(hold) == 0 {
 		return 0, 0
 	}
-	// Embed the holdout on the same batch path as Retrain: parallel across
-	// GOMAXPROCS, each distinct text once, warm vectors from the shared
-	// cache (an Evaluate right after Retrain re-embeds nothing).
-	sqls := make([]string, len(hold))
-	for i, q := range hold {
-		sqls[i] = q.SQL
-	}
-	X := EmbedAllCached(c.Embedder, sqls, 0, t.vectorCache())
-	correct := 0
-	for i, q := range hold {
-		if c.Labeler.Label(X[i]) == q.Labels[labelKey] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(hold)), len(hold)
+	sqls, y := texts(hold, labelKey)
+	return accuracy(c.Labeler, EmbedAllCached(c.Embedder, sqls, 0, t.vectorCache()), y), len(hold)
 }

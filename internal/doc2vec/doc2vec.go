@@ -20,9 +20,7 @@
 // locks, the same scheme as the reference word2vec implementation. Workers=1
 // keeps the fully deterministic serial schedule (same seed + corpus => same
 // model, bit for bit). Inference is allocation-light — per-model pooled
-// scratch, an inline xorshift RNG seeded from the document hash — and
-// InferBatch dedupes identical token sequences before fanning the distinct
-// ones across a bounded worker pool.
+// scratch, an inline xorshift RNG seeded from the document hash.
 package doc2vec
 
 import (
@@ -404,7 +402,9 @@ func (m *Model) Infer(tokens []string) vec.Vector {
 // dominate production workloads — share the first occurrence's vector. The
 // distinct sequences fan out across a bounded worker pool (inference is
 // read-only on the model). The returned slice is index-aligned with docs;
-// aliased vectors must be treated as immutable by callers.
+// aliased vectors must be treated as immutable by callers. No service path
+// calls it (the runtime embeds per distinct text on its own pool); it is
+// kept for the benchmark ladder's doc2vec.infer_batch_us_per_doc.
 func (m *Model) InferBatch(docs [][]string) []vec.Vector {
 	out := make([]vec.Vector, len(docs))
 	if len(docs) == 0 {

@@ -272,25 +272,6 @@ func (m *Model) Encode(tokens []string) vec.Vector {
 	return out
 }
 
-// EncodeBatch encodes a batch of token sequences, running the encoder once
-// per distinct sequence: Encode is deterministic, so duplicates share the
-// first occurrence's hidden-state vector. Distinct sequences fan out across
-// a bounded worker pool. The returned slice is index-aligned with docs;
-// aliased vectors must be treated as immutable.
-func (m *Model) EncodeBatch(docs [][]string) []vec.Vector {
-	out := make([]vec.Vector, len(docs))
-	if len(docs) == 0 {
-		return out
-	}
-	repOf := vocab.ForEachRep(docs, runtime.GOMAXPROCS(0), func(i int) {
-		out[i] = m.Encode(docs[i])
-	})
-	for i, r := range repOf {
-		out[i] = out[r]
-	}
-	return out
-}
-
 // trainer bundles gradient buffers (and, for the main trainer, the
 // optimizer) for one Train call. Worker trainers created by newWorkerTrainer
 // share the model but own their gradient buffers and RNG; their opt is nil

@@ -330,53 +330,3 @@ func TestEncodeAllocs(t *testing.T) {
 		t.Fatalf("Encode allocates %.1f per op, want <= 2 (result vector + pool jitter)", allocs)
 	}
 }
-
-// TestEncodeBatchParallelManyDocs drives the batch fan-out with enough
-// distinct sequences to engage the worker pool (covered by -race).
-func TestEncodeBatchParallelManyDocs(t *testing.T) {
-	m, err := Train(tinyCorpus(), tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	words := []string{"select", "a", "from", "t", "where", "x", "insert", "into", "u", "values", "y"}
-	docs := make([][]string, 200)
-	for i := range docs {
-		docs[i] = []string{words[i%len(words)], words[(i/2)%len(words)], words[(i/5)%len(words)]}
-	}
-	batch := m.EncodeBatch(docs)
-	for i, doc := range docs {
-		want := m.Encode(doc)
-		for j := range want {
-			if batch[i][j] != want[j] {
-				t.Fatalf("batch[%d] differs from serial Encode at dim %d", i, j)
-			}
-		}
-	}
-}
-
-func TestEncodeBatchMatchesEncodeAndDedupes(t *testing.T) {
-	m, err := Train(tinyCorpus(), tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	docs := [][]string{
-		{"select", "a", "from", "t"},
-		{"insert", "into", "u"},
-		{"select", "a", "from", "t"}, // duplicate of docs[0]
-	}
-	batch := m.EncodeBatch(docs)
-	if len(batch) != len(docs) {
-		t.Fatalf("batch length: %d", len(batch))
-	}
-	for i, doc := range docs {
-		want := m.Encode(doc)
-		for j := range want {
-			if batch[i][j] != want[j] {
-				t.Fatalf("batch[%d] differs from Encode at dim %d", i, j)
-			}
-		}
-	}
-	if &batch[0][0] != &batch[2][0] {
-		t.Fatal("duplicate sequences must share the first occurrence's vector")
-	}
-}

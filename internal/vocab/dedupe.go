@@ -5,10 +5,10 @@ import (
 	"sync/atomic"
 )
 
-// Batch dedupe helpers shared by the embedders' batch inference paths
-// (doc2vec.InferBatch, lstm.EncodeBatch). Production workloads are dominated
-// by literal repeats, so both paths dedupe token sequences before running the
-// (deterministic) model once per distinct sequence. The key is built by
+// Batch dedupe helpers behind doc2vec.InferBatch, which runs the
+// (deterministic) model once per distinct token sequence. No service path
+// calls InferBatch — the runtime deduplicates by text before embedding — so
+// these are kept for the benchmark ladder's doc2vec.infer_batch_us_per_doc. The key is built by
 // appending into one reusable byte buffer instead of strings.Join-ing per
 // document, so duplicate documents — the common case — cost zero allocations
 // to recognize.
@@ -33,8 +33,8 @@ func AppendKey(dst []byte, tokens []string) []byte {
 // ForEachRep runs fn once per distinct token sequence in docs (identified
 // by first-occurrence index), fanning the calls across at most maxWorkers
 // goroutines, and returns repOf mapping every document index to its
-// representative's index. This is the shared dedupe-then-fan-out skeleton of
-// the embedders' batch inference paths: fn must be safe to call concurrently
+// representative's index. This is the dedupe-then-fan-out skeleton of
+// doc2vec.InferBatch: fn must be safe to call concurrently
 // for distinct indices (model inference is read-only) and typically writes
 // out[i]; the caller then aliases out[i] = out[repOf[i]] for the duplicates.
 func ForEachRep(docs [][]string, maxWorkers int, fn func(i int)) (repOf []int) {

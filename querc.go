@@ -60,7 +60,6 @@ import (
 type (
 	LabeledQuery      = core.LabeledQuery
 	Embedder          = core.Embedder
-	BatchEmbedder     = core.BatchEmbedder
 	TokenizedEmbedder = core.TokenizedEmbedder
 	Labeler           = core.Labeler
 	TrainableLabeler  = core.TrainableLabeler
@@ -300,6 +299,13 @@ func NewMemoryEstimator(embedder Embedder, cfg ForestConfig) *MemoryEstimator {
 // capacity <= 0 uses DefaultVectorCacheEntries; shards <= 0 picks a default.
 func NewVectorCache(capacity, shards int) *VectorCache {
 	return core.NewVectorCache(capacity, shards)
+}
+
+// Fit embeds sqls and fits labeler on them against the labels y, returning
+// the deployable classifier that writes its prediction under key. cache may
+// be nil.
+func Fit(key string, embedder Embedder, labeler TrainableLabeler, sqls, y []string, workers int, cache *VectorCache) (*Classifier, error) {
+	return core.Fit(key, embedder, labeler, sqls, y, workers, cache)
 }
 
 // EmbedAll embeds a batch of SQL texts in parallel.

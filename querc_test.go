@@ -36,14 +36,14 @@ func TestEndToEndUserLabeling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lbl := querc.NewForestLabeler(querc.DefaultForestConfig())
-	if err := lbl.Fit(querc.EmbedAll(emb, sqls, 4), users); err != nil {
+	clf, err := querc.Fit("user", emb, querc.NewForestLabeler(querc.DefaultForestConfig()), sqls, users, 4, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	svc := querc.NewService()
 	svc.AddApplication("t1", 32, nil)
-	if err := svc.Deploy("t1", &querc.Classifier{LabelKey: "user", Embedder: emb, Labeler: lbl}); err != nil {
+	if err := svc.Deploy("t1", clf); err != nil {
 		t.Fatal(err)
 	}
 
