@@ -151,6 +151,45 @@ func TestSubmitBatchEndpoint(t *testing.T) {
 	}
 }
 
+// TestResponsesOmitZeroArrival checks that submit and batch responses leave
+// out a query's unknown (zero) arrival time instead of serializing it as
+// "0001-01-01T00:00:00Z".
+func TestResponsesOmitZeroArrival(t *testing.T) {
+	s, mux := newTestServer(t)
+	s.svc.Deploy("app1", &core.Classifier{
+		LabelKey: "kind",
+		Embedder: constEmbedder{},
+		Labeler:  &core.RuleLabeler{RuleName: "r", Rule: func(v querc.Vector) string { return "read" }},
+	})
+	rr := do(t, mux, "POST", "/v1/apps/app1/queries", `{"sql":"select 1"}`)
+	if rr.Code != http.StatusOK {
+		t.Fatalf("submit: %d %s", rr.Code, rr.Body)
+	}
+	var single map[string]json.RawMessage
+	if err := json.Unmarshal(rr.Body.Bytes(), &single); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := single["arrival"]; ok {
+		t.Fatalf("submit response carries a zero arrival: %s", rr.Body)
+	}
+
+	rr = do(t, mux, "POST", "/v1/apps/app1/queries:batch", `{"sqls": ["select 1", "select 2"]}`)
+	if rr.Code != http.StatusOK {
+		t.Fatalf("batch: %d %s", rr.Code, rr.Body)
+	}
+	var batch struct {
+		Queries []map[string]json.RawMessage `json:"queries"`
+	}
+	if err := json.Unmarshal(rr.Body.Bytes(), &batch); err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range batch.Queries {
+		if _, ok := q["arrival"]; ok {
+			t.Fatalf("batch query %d carries a zero arrival: %s", i, rr.Body)
+		}
+	}
+}
+
 type constEmbedder struct{}
 
 func (constEmbedder) Embed(sql string) querc.Vector { return querc.Vector{1} }

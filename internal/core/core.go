@@ -36,8 +36,8 @@ import (
 // observed later (cluster, error code, runtime class).
 type LabeledQuery struct {
 	SQL     string            `json:"sql"`
-	App     string            `json:"app"`               // application / stream name
-	Arrival time.Time         `json:"arrival,omitempty"` // zero when unknown
+	App     string            `json:"app"`              // application / stream name
+	Arrival time.Time         `json:"arrival,omitzero"` // zero, and omitted, when unknown
 	Labels  map[string]string `json:"labels,omitempty"`
 
 	// trace is the query's lifecycle trace, begun afresh by the Qworker on

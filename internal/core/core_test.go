@@ -1,7 +1,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -614,6 +617,52 @@ func TestRegistryRoundTrip(t *testing.T) {
 	}
 	if _, _, err := reg.LoadEmbedder("missing"); err == nil {
 		t.Fatal("missing model must fail")
+	}
+}
+
+// TestRegistrySaveIsAtomic checks that a model file appears under its
+// versioned name only once it is completely written, and that a failed write
+// leaves nothing behind — neither the version nor a temp file.
+func TestRegistrySaveIsAtomic(t *testing.T) {
+	dir := t.TempDir()
+	reg, err := NewRegistry(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := reg.path("m", kindDoc2vec, 1)
+	v, err := reg.save("m", kindDoc2vec, func(f *os.File) error {
+		if _, err := os.Stat(final); !os.IsNotExist(err) {
+			t.Errorf("%s exists while its contents are still being written (stat err %v)", final, err)
+		}
+		_, err := f.WriteString("model bytes")
+		return err
+	})
+	if err != nil || v != 1 {
+		t.Fatalf("save: v=%d err=%v", v, err)
+	}
+	if blob, err := os.ReadFile(final); err != nil || string(blob) != "model bytes" {
+		t.Fatalf("saved file: %q, %v", blob, err)
+	}
+
+	if _, err := reg.save("m", kindDoc2vec, func(f *os.File) error {
+		_, _ = f.WriteString("trunc") // a partial write, failed below either way
+		return errors.New("disk full")
+	}); err == nil {
+		t.Fatal("a failed write must fail the save")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != filepath.Base(final) {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("after a failed write the directory holds %v, want only %s", names, filepath.Base(final))
+	}
+	if vs := reg.Versions("m"); len(vs) != 1 || vs[0] != 1 {
+		t.Fatalf("versions after a failed write: %v", vs)
 	}
 }
 

@@ -45,24 +45,52 @@ func (r *Registry) SaveLSTM(name string, m *lstm.Model) (int, error) {
 	return r.save(name, kindLSTM, func(f *os.File) error { return m.Save(f) })
 }
 
+// save writes a new version of name atomically: write fills a temp file in
+// the registry directory, which is synced and then renamed to the versioned
+// path, and the directory is synced so the rename survives a crash. A crash
+// or a failed write therefore never leaves a truncated highest version for
+// LoadEmbedder to trip on. Temp names have four dot-separated parts, so the
+// version and model listings never see them.
 func (r *Registry) save(name, kind string, write func(*os.File) error) (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	v := r.latestVersionLocked(name) + 1
 	path := r.path(name, kind, v)
-	f, err := os.Create(path)
+	f, err := os.CreateTemp(r.dir, filepath.Base(path)+".tmp*")
 	if err != nil {
 		return 0, fmt.Errorf("core: registry save: %w", err)
 	}
-	if err := write(f); err != nil {
-		f.Close()
-		os.Remove(path)
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
 		return 0, fmt.Errorf("core: registry save %s: %w", name, err)
 	}
-	if err := f.Close(); err != nil {
+	if err := syncDir(r.dir); err != nil {
 		return 0, fmt.Errorf("core: registry save %s: %w", name, err)
 	}
 	return v, nil
+}
+
+// syncDir flushes dir's entries (a completed rename) to stable storage.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // LoadEmbedder loads the latest version of the named model and wraps it as

@@ -126,16 +126,25 @@ type Model struct {
 	WordOut *vec.Matrix // output word vectors, Size x Dim
 	Docs    *vec.Matrix // training document vectors, NumDocs x Dim
 
-	// inferPool recycles per-inference scratch (token-ID buffer plus the two
-	// Dim-length gradient vectors), so concurrent Infer calls allocate only
-	// their returned document vector.
+	// inferPool recycles per-inference scratch (token-ID buffer, the two
+	// Dim-length kernel vectors and the PV-DM window tables), so concurrent
+	// Infer calls allocate only their returned document vector.
 	inferPool sync.Pool
 }
 
-// inferScratch is the pooled per-call state of Infer.
+// inferScratch is the pooled per-call state of Infer. Besides the token IDs
+// and the ctx/grad kernel vectors it holds PV-DM's frozen windows, filled
+// once per call by hoistWindows: for the k-th position whose target is a
+// real word, targets[k] is that target, sums[k*Dim:(k+1)*Dim] the sum of its
+// window's input word vectors, and invs[k] = 1/n, where n counts the window
+// words plus the document vector. The window slices hold one entry per token
+// and grow only when a longer document arrives.
 type inferScratch struct {
 	ids       []int
 	ctx, grad vec.Vector
+	targets   []int
+	sums      []float64
+	invs      []float64
 }
 
 // Train fits a Doc2Vec model on corpus, a slice of token sequences.
@@ -370,6 +379,16 @@ func (m *Model) DocVector(i int) vec.Vector { return m.Docs.Row(i) }
 // comes from a per-model pool — one allocation per call on the steady state.
 // Infer is safe for concurrent use (the word matrices are read-only here).
 //
+// PV-DM inference runs trainDoc's PV-DM step with updateWords=false, except
+// that each window's word-vector sum is computed once per call
+// (hoistWindows) instead of once per epoch: the word vectors are frozen, so
+// only the document vector changes between epochs, and each position's
+// context is (docVec + sum) / n in one pass. Adding the window first moves
+// the context by an ulp at most, which reaches the output only through
+// FastSigmoid's table index and so leaves the vectors bit-identical in
+// practice (TestInferHoistedMatchesPerEpoch pins it). PV-DBOW has no
+// window and runs trainDoc itself.
+//
 //querc:hotpath
 func (m *Model) Infer(tokens []string) vec.Vector {
 	sc, _ := m.inferPool.Get().(*inferScratch)
@@ -388,13 +407,66 @@ func (m *Model) Infer(tokens []string) vec.Vector {
 	for i := range docVec {
 		docVec[i] = (rng.Float64()*2 - 1) * scale
 	}
+	dim, dbow := m.Cfg.Dim, m.Cfg.Mode == PVDBOW
+	n := 0
+	if !dbow {
+		n = m.hoistWindows(sc, ids)
+	}
+	ctx, grad, d := sc.ctx[:dim], sc.grad, docVec[:dim]
 	alpha0 := m.Cfg.Alpha
 	for e := 0; e < m.Cfg.InferEpochs; e++ {
 		alpha := alpha0 - (alpha0-m.Cfg.MinAlpha)*float64(e)/float64(m.Cfg.InferEpochs)
-		m.trainDoc(&rng, docVec, ids, alpha, false, sc.ctx, sc.grad)
+		if dbow {
+			m.trainDoc(&rng, docVec, ids, alpha, false, ctx, grad)
+			continue
+		}
+		for k := 0; k < n; k++ {
+			// ctx = mean(doc vector, window word vectors)
+			sum, inv := sc.sums[k*dim:(k+1)*dim], sc.invs[k]
+			for i := range ctx {
+				ctx[i] = (d[i] + sum[i]) * inv
+			}
+			grad.Zero()
+			m.negSampleInto(&rng, ctx, sc.targets[k], alpha, false, grad)
+			docVec.Add(grad)
+		}
 	}
 	m.inferPool.Put(sc)
 	return docVec
+}
+
+// hoistWindows fills sc's window tables for ids and returns how many
+// positions they hold. It visits the positions trainDoc's PV-DM loop trains,
+// with the same window bounds and skips, and sums each window's input word
+// vectors directly (no sliding sum, whose subtractions would add rounding).
+func (m *Model) hoistWindows(sc *inferScratch, ids []int) int {
+	dim, w := m.Cfg.Dim, m.Cfg.Window
+	if cap(sc.targets) < len(ids) {
+		sc.targets = make([]int, len(ids))
+		sc.invs = make([]float64, len(ids))
+		sc.sums = make([]float64, len(ids)*dim)
+	}
+	k := 0
+	for pos, target := range ids {
+		if target < vocab.NumReserved {
+			continue
+		}
+		lo, hi := max(pos-w, 0), min(pos+w, len(ids)-1)
+		sum := vec.Vector(sc.sums[k*dim : (k+1)*dim])
+		sum.Zero()
+		n := 1
+		for i := lo; i <= hi; i++ {
+			if i == pos || ids[i] < vocab.NumReserved {
+				continue
+			}
+			sum.Add(m.WordIn.Row(ids[i]))
+			n++
+		}
+		sc.targets[k] = target
+		sc.invs[k] = 1 / float64(n)
+		k++
+	}
+	return k
 }
 
 // InferBatch embeds a batch of token sequences, running inference once per

@@ -277,6 +277,14 @@ func TestInferAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, func() { m.Infer(tokens) }); allocs > 2 {
 		t.Fatalf("Infer allocates %.1f per op, want <= 2 (doc vector + pool jitter)", allocs)
 	}
+
+	// Growth: a text longer than any earlier one makes the pooled window
+	// tables grow once; after that it is back to the steady state.
+	long := append(append(append([]string{}, tokens...), tokens...), tokens...)
+	m.Infer(long)
+	if allocs := testing.AllocsPerRun(200, func() { m.Infer(long) }); allocs > 2 {
+		t.Fatalf("Infer allocates %.1f per op after the scratch grew, want <= 2", allocs)
+	}
 }
 
 // TestInferBatchParallelManyDocs drives the batch fan-out with enough
