@@ -1,88 +1,48 @@
 // Command querclint runs the project's custom static analyzers
-// (internal/lint) over the module. It operates in two modes:
-//
-//   - standalone: `querclint ./...` loads, type-checks, and analyzes the
-//     matched packages (test files included) and prints findings;
-//   - vettool: `go vet -vettool=$(command -v querclint) ./...` — the go
-//     command drives it per compilation unit through the vet config-file
-//     protocol, giving incremental, cached linting in CI.
+// (internal/lint) over the module: `go run ./cmd/querclint ./...` loads,
+// type-checks, and analyzes the matched packages, test files included,
+// prints each finding once, and exits 1 when there is any.
 //
 // Findings are suppressed site-by-site with //querc:allow-* directives;
-// run `querclint -help` for the analyzer list.
+// run `querclint -h` for the analyzer list.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 
 	"querc/internal/lint"
 )
 
 func main() {
-	os.Exit(run(os.Args[1:]))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string) int {
-	// go vet handshake: it probes the tool's version for its action cache,
-	// then asks for the flags it may forward, then invokes it once per
-	// package with a *.cfg file.
-	if len(args) == 1 {
-		switch {
-		case args[0] == "-V=full":
-			if err := lint.PrintVetVersion(os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "querclint: %v\n", err)
-				return 1
-			}
-			return 0
-		case args[0] == "-flags":
-			fmt.Println("[]")
-			return 0
-		case strings.HasSuffix(args[0], ".cfg"):
-			return lint.RunVetUnit(args[0], lint.All(), os.Stderr)
-		}
-	}
-
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("querclint", flag.ContinueOnError)
-	var (
-		only    = fs.String("c", "", "comma-separated analyzer names to run (default: all)")
-		noTests = fs.Bool("notests", false, "skip test files and test packages")
-		list    = fs.Bool("list", false, "list analyzers and exit")
-	)
+	fs.SetOutput(stderr)
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: querclint [-c names] [-notests] [packages]")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *list {
+		fmt.Fprintln(stderr, "usage: querclint [packages] (default ./...)\n\nanalyzers:")
 		for _, a := range lint.All() {
-			fmt.Printf("%-10s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stderr, "  %-10s %s\n", a.Name, a.Doc)
 		}
-		return 0
 	}
-	analyzers := lint.All()
-	if *only != "" {
-		analyzers = analyzers[:0]
-		for _, name := range strings.Split(*only, ",") {
-			a := lint.ByName(strings.TrimSpace(name))
-			if a == nil {
-				fmt.Fprintf(os.Stderr, "querclint: unknown analyzer %q\n", name)
-				return 2
-			}
-			analyzers = append(analyzers, a)
-		}
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
 	}
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 
-	pkgs, err := lint.Load(".", patterns, !*noTests)
+	pkgs, err := lint.Load(".", patterns)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "querclint: %v\n", err)
+		fmt.Fprintf(stderr, "querclint: %v\n", err)
 		return 1
 	}
 	exit := 0
@@ -90,13 +50,13 @@ func run(args []string) int {
 	// one copy of each finding.
 	seen := make(map[string]bool)
 	for _, p := range pkgs {
-		for _, d := range lint.Check(p.Fset, p.Files, p.Types, p.Info, p.ImportPath, analyzers) {
+		for _, d := range lint.Check(p, lint.All()) {
 			line := d.String()
 			if seen[line] {
 				continue
 			}
 			seen[line] = true
-			fmt.Println(line)
+			fmt.Fprintln(stdout, line)
 			exit = 1
 		}
 	}

@@ -11,13 +11,6 @@ import (
 // the per-analyzer allow-* suppressions (Analyzer.Allow).
 const DirectivePrefix = "querc:"
 
-// directive is one parsed //querc: comment.
-type directive struct {
-	name string
-	line int
-	file string
-}
-
 // directiveIndex resolves which directives apply at a position: a directive
 // suppresses findings on its own line and the line below it, and a
 // directive attached to a function declaration (in or immediately above its

@@ -2,9 +2,9 @@ package lint
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
-	"strconv"
 	"strings"
 )
 
@@ -52,13 +52,8 @@ func isErrorExpr(p *Pass, e ast.Expr) bool {
 // sentinelName returns the name of the package-level error variable e
 // refers to ("" when e is not a sentinel reference).
 func sentinelName(p *Pass, e ast.Expr) string {
-	var id *ast.Ident
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		id = x
-	case *ast.SelectorExpr:
-		id = x.Sel
-	default:
+	id := nameOf(e)
+	if id == nil {
 		return ""
 	}
 	v, ok := p.TypesInfo.ObjectOf(id).(*types.Var)
@@ -118,10 +113,10 @@ func checkErrorfWrap(p *Pass, call *ast.CallExpr) {
 		return
 	}
 	tv, ok := p.TypesInfo.Types[call.Args[0]]
-	if !ok || tv.Value == nil {
+	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
 		return
 	}
-	format := constant_StringVal(tv)
+	format := constant.StringVal(tv.Value)
 	if format == "" || strings.Contains(format, "%w") {
 		return
 	}
@@ -131,14 +126,4 @@ func checkErrorfWrap(p *Pass, call *ast.CallExpr) {
 			return
 		}
 	}
-}
-
-// constant_StringVal extracts a constant string value, tolerating exact
-// representation quirks.
-func constant_StringVal(tv types.TypeAndValue) string {
-	s := tv.Value.ExactString()
-	if unq, err := strconv.Unquote(s); err == nil {
-		return unq
-	}
-	return s
 }

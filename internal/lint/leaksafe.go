@@ -39,24 +39,18 @@ func runLeaksafe(p *Pass) {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
 				ctxScope = append(ctxScope, declaresContext(p, n))
-				for _, c := range []ast.Node{n.Type, n.Body} {
-					if c != nil {
-						ast.Inspect(c, walk)
-					}
-				}
+				inspectChildren(n, walk)
 				ctxScope = ctxScope[:len(ctxScope)-1]
 				return false
 			case *ast.FuncLit:
 				// Closures capture the enclosing function's context.
 				ctxScope = append(ctxScope, inScope() || declaresContext(p, n))
-				ast.Inspect(n.Body, walk)
+				inspectChildren(n, walk)
 				ctxScope = ctxScope[:len(ctxScope)-1]
 				return false
 			case *ast.ForStmt, *ast.RangeStmt:
 				loops = append(loops, n)
-				for _, c := range childrenOf(n) {
-					ast.Inspect(c, walk)
-				}
+				inspectChildren(n, walk)
 				loops = loops[:len(loops)-1]
 				return false
 			case *ast.CallExpr:
@@ -113,43 +107,20 @@ func declaresContext(p *Pass, fn ast.Node) bool {
 // passing the context to a callee, or rebinding it all count as not
 // ignoring it.
 func usesContext(p *Pass, n ast.Node) bool {
-	found := false
-	ast.Inspect(n, func(m ast.Node) bool {
-		if found {
-			return false
-		}
-		e, ok := m.(ast.Expr)
-		if !ok {
-			return true
-		}
-		if tv, ok := p.TypesInfo.Types[e]; ok && isContextType(tv.Type) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// childrenOf returns the traversable children of a loop node so walk can
-// manage loop depth itself.
-func childrenOf(n ast.Node) []ast.Node {
-	var out []ast.Node
-	switch n := n.(type) {
-	case *ast.ForStmt:
-		for _, c := range []ast.Node{n.Init, n.Cond, n.Post, n.Body} {
-			if c != nil {
-				out = append(out, c)
-			}
-		}
-	case *ast.RangeStmt:
-		for _, c := range []ast.Node{n.Key, n.Value, n.X, n.Body} {
-			if c != nil {
-				out = append(out, c)
+	for m := range ast.Preorder(n) {
+		if e, ok := m.(ast.Expr); ok {
+			if tv, ok := p.TypesInfo.Types[e]; ok && isContextType(tv.Type) {
+				return true
 			}
 		}
 	}
-	return out
+	return false
+}
+
+// inspectChildren runs ast.Inspect with f over n's children but not over n
+// itself, so f can handle n's own node type by recursing.
+func inspectChildren(n ast.Node, f func(ast.Node) bool) {
+	ast.Inspect(n, func(m ast.Node) bool { return m == n || f(m) })
 }
 
 // checkGoroutineStop flags go statements whose body runs an infinite loop
@@ -207,35 +178,27 @@ func loopHasReturn(body *ast.BlockStmt) bool {
 // receive, send, select, or range-over-channel — the shapes a stop signal
 // or work source can take.
 func loopHasStopSignal(p *Pass, body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
+	for n := range ast.Preorder(body) {
 		switch n := n.(type) {
 		case *ast.SelectStmt, *ast.SendStmt:
-			found = true
+			return true
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
-				found = true
+				return true
 			}
 		case *ast.RangeStmt:
 			if tv, ok := p.TypesInfo.Types[n.X]; ok {
 				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-					found = true
+					return true
 				}
 			}
 		case *ast.CallExpr:
 			// sync.Cond.Wait parks the goroutine under a waiter registry
 			// (the dispatcher's worker loop); it is a retirement point.
-			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
-				if fn, ok := p.TypesInfo.ObjectOf(sel.Sel).(*types.Func); ok &&
-					fn.Pkg() != nil && fn.Pkg().Path() == "sync" && fn.Name() == "Wait" {
-					found = true
-				}
+			if fn := p.calleeFunc(n.Fun); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "sync" && fn.Name() == "Wait" {
+				return true
 			}
 		}
-		return true
-	})
-	return found
+	}
+	return false
 }

@@ -1,16 +1,18 @@
 // Package lint is querclint: a suite of project-specific static analyzers
 // that machine-check the concurrency, hot-path, and error-handling
-// invariants this codebase established informally — the way pkgdoc_test.go
-// already machine-checks godoc coverage. The suite is built directly on the
-// standard library's go/ast + go/types (no golang.org/x/tools dependency)
-// and is compiled into cmd/querclint, which runs both standalone
-// (querclint ./...) and as a `go vet -vettool` (see vettool.go).
+// invariants this codebase established informally. The suite is built
+// directly on the standard library's go/ast + go/types (no
+// golang.org/x/tools dependency) and is run by cmd/querclint
+// (go run ./cmd/querclint ./...). Two neighbouring invariants are checked
+// elsewhere: go vet's copylocks check forbids copying lock-bearing values,
+// and TestPackageDocComments (pkgdoc_test.go) requires a package doc
+// comment.
 //
 // Analyzers:
 //
-//   - locksafe: mutexes held across blocking operations, copies of
-//     lock-bearing values, fields accessed both atomically and plainly, and
-//     goroutines calling unsynchronized methods on shared state.
+//   - locksafe: mutexes held across blocking operations, fields accessed
+//     both atomically and plainly, and goroutines calling unsynchronized
+//     methods on shared state.
 //   - hotpath: functions annotated //querc:hotpath (and their same-package
 //     callees) must not allocate: no fmt.Sprintf/strings.Join/rand.New, no
 //     un-capped append, no map or closure construction, no interface boxing
@@ -19,7 +21,6 @@
 //     context, time.Tick, and time.After inside loops.
 //   - errwrap: sentinel errors compared with == / != instead of errors.Is,
 //     and fmt.Errorf dropping the cause by formatting an error without %w.
-//   - pkgdoc: every package carries a package-level doc comment.
 //
 // Each analyzer honors a suppression directive (Analyzer.Allow) written as
 // a //querc:<directive> comment on the offending line, the line above it,
@@ -29,11 +30,13 @@
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Diagnostic is one finding, resolved to a file position.
@@ -51,7 +54,7 @@ func (d Diagnostic) String() string {
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and CI output.
 	Name string
-	// Doc is the one-line description shown by querclint -help.
+	// Doc is the one-line description shown by querclint -h.
 	Doc string
 	// Allow is the //querc: directive (without the querc: prefix) that
 	// suppresses this analyzer's findings at a site.
@@ -62,12 +65,11 @@ type Analyzer struct {
 
 // Pass carries one type-checked package through one analyzer.
 type Pass struct {
-	Analyzer   *Analyzer
-	Fset       *token.FileSet
-	Files      []*ast.File
-	Pkg        *types.Package
-	TypesInfo  *types.Info
-	ImportPath string
+	Analyzer  *Analyzer
+	Fset      *token.FileSet
+	Files     []*ast.File
+	Pkg       *types.Package
+	TypesInfo *types.Info
 
 	dirs  *directiveIndex
 	diags *[]Diagnostic
@@ -88,71 +90,67 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Locksafe, Hotpath, Leaksafe, Errwrap, Pkgdoc}
+	return []*Analyzer{Locksafe, Hotpath, Leaksafe, Errwrap}
 }
 
-// ByName returns the named analyzer, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}
-
-// Check runs the given analyzers over one type-checked package and returns
+// Check runs the given analyzers over one loaded package and returns
 // the surviving (non-suppressed) diagnostics sorted by position.
-func Check(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, importPath string, analyzers []*Analyzer) []Diagnostic {
-	dirs := buildDirectiveIndex(fset, files)
+func Check(pkg *Package, analyzers []*Analyzer) []Diagnostic {
+	dirs := buildDirectiveIndex(pkg.Fset, pkg.Files)
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
-			Analyzer:   a,
-			Fset:       fset,
-			Files:      files,
-			Pkg:        pkg,
-			TypesInfo:  info,
-			ImportPath: importPath,
-			dirs:       dirs,
-			diags:      &diags,
+			Analyzer:  a,
+			Fset:      pkg.Fset,
+			Files:     pkg.Files,
+			Pkg:       pkg.Types,
+			TypesInfo: pkg.Info,
+			dirs:      dirs,
+			diags:     &diags,
 		}
 		a.Run(pass)
 	}
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Analyzer < b.Analyzer
+	slices.SortFunc(diags, func(a, b Diagnostic) int {
+		return cmp.Or(strings.Compare(a.Pos.Filename, b.Pos.Filename),
+			cmp.Compare(a.Pos.Line, b.Pos.Line),
+			cmp.Compare(a.Pos.Column, b.Pos.Column),
+			strings.Compare(a.Analyzer, b.Analyzer))
 	})
 	return diags
 }
 
+// nameOf returns the identifier an expression names — x itself, or the
+// selected name of x.Sel — or nil.
+func nameOf(e ast.Expr) *ast.Ident {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return e
+	case *ast.SelectorExpr:
+		return e.Sel
+	}
+	return nil
+}
+
+// calleeFunc resolves a called expression to the function or method it
+// names, or nil when the callee is a builtin, a conversion, or a function
+// value.
+func (p *Pass) calleeFunc(fun ast.Expr) *types.Func {
+	id := nameOf(fun)
+	if id == nil {
+		return nil
+	}
+	fn, _ := p.TypesInfo.ObjectOf(id).(*types.Func)
+	return fn
+}
+
 // funcObjOf resolves a called expression to its same-package *types.Func
 // declaration object, or nil when the callee is a builtin, a function
-// value, an interface method, or declared in another package.
+// value, or declared in another package.
 func (p *Pass) funcObjOf(fun ast.Expr) *types.Func {
-	var id *ast.Ident
-	switch e := ast.Unparen(fun).(type) {
-	case *ast.Ident:
-		id = e
-	case *ast.SelectorExpr:
-		id = e.Sel
-	default:
-		return nil
+	if fn := p.calleeFunc(fun); fn != nil && fn.Pkg() == p.Pkg {
+		return fn
 	}
-	fn, ok := p.TypesInfo.ObjectOf(id).(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg() != p.Pkg {
-		return nil
-	}
-	return fn
+	return nil
 }
 
 // calleePath returns "pkgpath.Name" for a called package-level function
@@ -162,27 +160,17 @@ func (p *Pass) funcObjOf(fun ast.Expr) *types.Func {
 // aliasing same-named package functions — time.Time.After is not
 // time.After.
 func (p *Pass) calleePath(fun ast.Expr) string {
-	var id *ast.Ident
-	switch e := ast.Unparen(fun).(type) {
-	case *ast.Ident:
-		id = e
-	case *ast.SelectorExpr:
-		id = e.Sel
-	default:
+	fn := p.calleeFunc(fun)
+	if fn == nil || fn.Pkg() == nil {
 		return ""
 	}
-	fn, ok := p.TypesInfo.ObjectOf(id).(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return ""
+	if fn.Signature().Recv() == nil {
+		return fn.Pkg().Path() + "." + fn.Name()
 	}
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		recv := recvTypeName(fn)
-		if recv == "" {
-			return ""
-		}
+	if recv := recvTypeName(fn); recv != "" {
 		return fn.Pkg().Path() + "." + recv + "." + fn.Name()
 	}
-	return fn.Pkg().Path() + "." + fn.Name()
+	return ""
 }
 
 // declsByObj maps every function/method declaration in the package to its

@@ -1,60 +1,77 @@
 package lint
 
 import (
+	"fmt"
 	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 )
 
-// TestFixtures runs each analyzer over its testdata package and checks the
-// `// want "re"` expectations: every annotated line must produce a matching
-// diagnostic, every diagnostic must be annotated, and directive-suppressed
-// sites must stay silent.
+// TestFixtures runs each analyzer over its testdata/src/<name> package
+// (invisible to go build) and checks the `// want "regexp"` comments there:
+// every annotated line must produce a matching diagnostic, every diagnostic
+// must be annotated, and directive-suppressed sites must stay silent.
 func TestFixtures(t *testing.T) {
-	cases := []struct {
-		dir      string
-		analyzer *Analyzer
-	}{
-		{"locksafe", Locksafe},
-		{"hotpath", Hotpath},
-		{"leaksafe", Leaksafe},
-		{"errwrap", Errwrap},
-		{"pkgdoc", Pkgdoc},
-		{"pkgdocallow", Pkgdoc},
-	}
-	for _, tc := range cases {
-		t.Run(tc.dir, func(t *testing.T) {
+	for _, a := range All() {
+		t.Run(a.Name, func(t *testing.T) {
 			t.Parallel()
-			dir := filepath.Join("testdata", "src", tc.dir)
-			problems, err := RunFixture(dir, []*Analyzer{tc.analyzer})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, p := range problems {
-				t.Error(p)
-			}
+			checkFixture(t, filepath.Join("testdata", "src", a.Name), a)
 		})
 	}
 }
 
-// TestByName pins the public analyzer registry: CI scripts select analyzers
-// by these names.
-func TestByName(t *testing.T) {
-	for _, name := range []string{"locksafe", "hotpath", "leaksafe", "errwrap", "pkgdoc"} {
-		a := ByName(name)
-		if a == nil {
-			t.Fatalf("ByName(%q) = nil", name)
-		}
-		if a.Name != name {
-			t.Fatalf("ByName(%q).Name = %q", name, a.Name)
-		}
-		if a.Allow == "" {
-			t.Fatalf("analyzer %q has no allow directive", name)
+// checkFixture type-checks the fixture package in dir (standard-library
+// imports only, resolved from source), runs a over it, and reports each
+// mismatch between its diagnostics and the want comments, which anchor to
+// their own line.
+func checkFixture(t *testing.T, dir string, a *Analyzer) {
+	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no Go files in %s (%v)", dir, err)
+	}
+	pkg, err := parseAndCheck("fixture/"+filepath.Base(dir), paths, nil)
+	if err != nil {
+		t.Fatalf("typechecking fixture: %v", err)
+	}
+	type want struct {
+		re      *regexp.Regexp
+		matched bool
+	}
+	wants := make(map[string][]*want) // "file:line" -> expectations
+	for _, f := range pkg.Files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				quoted, ok := strings.CutPrefix(c.Text, "// want ")
+				if !ok {
+					continue
+				}
+				pos := pkg.Fset.Position(c.Pos())
+				at := fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
+				pat, err := strconv.Unquote(strings.TrimSpace(quoted))
+				if err != nil {
+					t.Fatalf("%s: want takes one quoted regexp: %v", at, err)
+				}
+				wants[at] = append(wants[at], &want{re: regexp.MustCompile(pat)})
+			}
 		}
 	}
-	if got := len(All()); got != 5 {
-		t.Fatalf("All() returned %d analyzers, want 5", got)
+diagnostics:
+	for _, d := range Check(pkg, []*Analyzer{a}) {
+		for _, w := range wants[fmt.Sprintf("%s:%d", d.Pos.Filename, d.Pos.Line)] {
+			if !w.matched && w.re.MatchString(d.Message) {
+				w.matched = true
+				continue diagnostics
+			}
+		}
+		t.Errorf("unexpected diagnostic at %s", d)
 	}
-	if ByName("nope") != nil {
-		t.Fatal(`ByName("nope") should be nil`)
+	for at, ws := range wants {
+		for _, w := range ws {
+			if !w.matched {
+				t.Errorf("%s: no diagnostic matched want %q", at, w.re)
+			}
+		}
 	}
 }

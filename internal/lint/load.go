@@ -19,44 +19,32 @@ import (
 
 // Package is one loaded, type-checked package ready for Check.
 type Package struct {
-	ImportPath string
-	Fset       *token.FileSet
-	Files      []*ast.File
-	Types      *types.Package
-	Info       *types.Info
+	Fset  *token.FileSet
+	Files []*ast.File
+	Types *types.Package
+	Info  *types.Info
 }
 
 // listPkg mirrors the subset of `go list -json` output the loader needs.
 type listPkg struct {
 	ImportPath string
 	Dir        string
-	Name       string
 	Export     string
-	ForTest    string
 	Standard   bool
 	DepOnly    bool
 	GoFiles    []string
 	ImportMap  map[string]string
-	Error      *listPkgError
-}
-
-type listPkgError struct {
-	Err string
+	Error      *struct{ Err string }
 }
 
 // Load type-checks the packages matching patterns (e.g. "./...") in dir,
-// using `go list -export` so dependencies are resolved from compiler export
-// data instead of re-typechecking the world. With includeTests, test
-// variants of the matched packages are loaded too (the synthesized .test
-// mains are skipped — their files are generated).
-func Load(dir string, patterns []string, includeTests bool) ([]*Package, error) {
-	args := []string{"list", "-e", "-export",
-		"-json=ImportPath,Dir,Name,Export,ForTest,Standard,DepOnly,GoFiles,ImportMap,Error",
-		"-deps"}
-	if includeTests {
-		args = append(args, "-test")
-	}
-	args = append(args, patterns...)
+// test variants included, using `go list -export` so dependencies are
+// resolved from compiler export data instead of re-typechecking the world.
+// The synthesized .test mains are skipped — their files are generated.
+func Load(dir string, patterns []string) ([]*Package, error) {
+	args := append([]string{"list", "-e", "-export",
+		"-json=ImportPath,Dir,Export,Standard,DepOnly,GoFiles,ImportMap,Error",
+		"-deps", "-test"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
@@ -87,7 +75,24 @@ func Load(dir string, patterns []string, includeTests bool) ([]*Package, error) 
 		if !isLintTarget(lp) {
 			continue
 		}
-		p, err := typecheckListed(lp, exports)
+		var paths []string
+		for _, name := range lp.GoFiles {
+			if !filepath.IsAbs(name) {
+				name = filepath.Join(lp.Dir, name)
+			}
+			paths = append(paths, name)
+		}
+		p, err := parseAndCheck(lp.ImportPath, paths, func(importPath string) (io.ReadCloser, error) {
+			resolved := importPath
+			if mapped, ok := lp.ImportMap[importPath]; ok {
+				resolved = mapped
+			}
+			exp, ok := exports[resolved]
+			if !ok {
+				return nil, fmt.Errorf("no export data for %q (resolved %q)", importPath, resolved)
+			}
+			return os.Open(exp)
+		})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", lp.ImportPath, err)
 		}
@@ -105,58 +110,28 @@ func isLintTarget(lp *listPkg) bool {
 	if strings.HasSuffix(lp.ImportPath, ".test") {
 		return false
 	}
-	if lp.Error != nil {
-		return false
-	}
-	return true
+	return lp.Error == nil
 }
 
-// typecheckListed parses and type-checks one go-list package against the
-// export data of its dependencies.
-func typecheckListed(lp *listPkg, exports map[string]string) (*Package, error) {
+// parseAndCheck parses the files at paths and type-checks them as package
+// importPath. lookup opens the compiler export data of an import; a nil
+// lookup type-checks imports from source instead, which is how the
+// analyzer fixtures (standard-library imports only) load.
+func parseAndCheck(importPath string, paths []string, lookup importer.Lookup) (*Package, error) {
 	fset := token.NewFileSet()
 	var files []*ast.File
-	for _, name := range lp.GoFiles {
-		path := name
-		if !filepath.IsAbs(path) {
-			path = filepath.Join(lp.Dir, name)
-		}
+	for _, path := range paths {
 		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
 		files = append(files, f)
 	}
-	lookup := func(importPath string) (io.ReadCloser, error) {
-		resolved := importPath
-		if mapped, ok := lp.ImportMap[importPath]; ok {
-			resolved = mapped
-		}
-		exp, ok := exports[resolved]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q (resolved %q)", importPath, resolved)
-		}
-		return os.Open(exp)
+	imp := importer.ForCompiler(fset, "source", nil)
+	if lookup != nil {
+		imp = importer.ForCompiler(fset, "gc", lookup)
 	}
-	info := newTypesInfo()
-	conf := types.Config{
-		Importer: importer.ForCompiler(fset, "gc", lookup),
-	}
-	pkg, err := conf.Check(lp.ImportPath, fset, files, info)
-	if err != nil {
-		return nil, err
-	}
-	return &Package{
-		ImportPath: lp.ImportPath,
-		Fset:       fset,
-		Files:      files,
-		Types:      pkg,
-		Info:       info,
-	}, nil
-}
-
-func newTypesInfo() *types.Info {
-	return &types.Info{
+	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
@@ -165,4 +140,10 @@ func newTypesInfo() *types.Info {
 		Scopes:     make(map[ast.Node]*types.Scope),
 		Instances:  make(map[*ast.Ident]types.Instance),
 	}
+	conf := types.Config{Importer: imp}
+	pkg, err := conf.Check(importPath, fset, files, info)
+	if err != nil {
+		return nil, err
+	}
+	return &Package{Fset: fset, Files: files, Types: pkg, Info: info}, nil
 }

@@ -14,29 +14,21 @@ import (
 //     default, time.Sleep, or sync.WaitGroup.Wait. (sync.Cond.Wait is
 //     exempt: it requires the lock by contract and releases it while
 //     parked, which is the dispatcher's drain/steal idiom.)
-//  2. Values containing sync locks must not be copied (by-value
-//     parameters, receivers, results, assignments, or range variables).
-//  3. A struct field must not be accessed both through sync/atomic and
+//  2. A struct field must not be accessed both through sync/atomic and
 //     plainly — mixed access is a data race even when each side looks
 //     consistent locally.
-//  4. A goroutine must not call a same-package pointer-receiver method
+//  3. A goroutine must not call a same-package pointer-receiver method
 //     that uses no synchronization on state shared with its spawner —
 //     either the method synchronizes internally or the race is deliberate
 //     and annotated (the Hogwild trainers in internal/doc2vec).
 //
-// Suppress deliberate races with //querc:allow-race <reason>.
+// Copies of lock-bearing values are go vet's copylocks check, which CI
+// runs. Suppress deliberate races with //querc:allow-race <reason>.
 var Locksafe = &Analyzer{
 	Name:  "locksafe",
-	Doc:   "flags locks held across blocking ops, lock copies, mixed atomic/plain access, and unsynchronized shared-state calls in goroutines",
+	Doc:   "flags locks held across blocking ops, mixed atomic/plain access, and unsynchronized shared-state calls in goroutines",
 	Allow: "allow-race",
 	Run:   runLocksafe,
-}
-
-// noCopySyncTypes are the sync package types whose values must not be
-// copied after first use.
-var noCopySyncTypes = map[string]bool{
-	"Mutex": true, "RWMutex": true, "WaitGroup": true, "Cond": true,
-	"Once": true, "Pool": true, "Map": true,
 }
 
 func runLocksafe(p *Pass) {
@@ -46,16 +38,10 @@ func runLocksafe(p *Pass) {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
 				if n.Body != nil {
-					ls.checkHeldAcrossBlocking(n.Type, n.Body)
-					ls.checkCopiedParams(n.Recv, n.Type)
+					ls.checkHeldAcrossBlocking(n.Body)
 				}
 			case *ast.FuncLit:
-				ls.checkHeldAcrossBlocking(n.Type, n.Body)
-				ls.checkCopiedParams(nil, n.Type)
-			case *ast.AssignStmt:
-				ls.checkCopyAssign(n)
-			case *ast.RangeStmt:
-				ls.checkCopyRange(n)
+				ls.checkHeldAcrossBlocking(n.Body)
 			case *ast.GoStmt:
 				ls.checkGoroutineCalls(n)
 			}
@@ -75,38 +61,25 @@ type locksafe struct {
 
 // lockCall classifies a call as a sync.Mutex/RWMutex Lock/Unlock family
 // method and returns the receiver expression's string form.
-func (ls *locksafe) lockCall(call *ast.CallExpr) (recv string, method string, ok bool) {
+func (ls *locksafe) lockCall(call *ast.CallExpr) (recv string, unlock, ok bool) {
 	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !isSel {
-		return "", "", false
+		return "", false, false
 	}
-	fn, isFn := ls.p.TypesInfo.ObjectOf(sel.Sel).(*types.Func)
-	if !isFn || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", "", false
+	switch ls.p.calleePath(call.Fun) {
+	case "sync.Mutex.Lock", "sync.Mutex.TryLock",
+		"sync.RWMutex.Lock", "sync.RWMutex.RLock", "sync.RWMutex.TryLock", "sync.RWMutex.TryRLock":
+		return types.ExprString(sel.X), false, true
+	case "sync.Mutex.Unlock", "sync.RWMutex.Unlock", "sync.RWMutex.RUnlock":
+		return types.ExprString(sel.X), true, true
 	}
-	sig, isSig := fn.Type().(*types.Signature)
-	if !isSig || sig.Recv() == nil {
-		return "", "", false
-	}
-	named, isNamed := types.Unalias(derefType(sig.Recv().Type())).(*types.Named)
-	if !isNamed {
-		return "", "", false
-	}
-	tn := named.Obj().Name()
-	if tn != "Mutex" && tn != "RWMutex" {
-		return "", "", false
-	}
-	switch fn.Name() {
-	case "Lock", "RLock", "Unlock", "RUnlock", "TryLock", "TryRLock":
-		return types.ExprString(sel.X), fn.Name(), true
-	}
-	return "", "", false
+	return "", false, false
 }
 
 // checkHeldAcrossBlocking flags blocking operations lexically between a
 // Lock and its matching Unlock (or, for deferred unlocks and unpaired
 // locks, to the end of the function).
-func (ls *locksafe) checkHeldAcrossBlocking(_ *ast.FuncType, body *ast.BlockStmt) {
+func (ls *locksafe) checkHeldAcrossBlocking(body *ast.BlockStmt) {
 	type lockEvt struct {
 		pos, end token.Pos
 		recv     string
@@ -120,14 +93,14 @@ func (ls *locksafe) checkHeldAcrossBlocking(_ *ast.FuncType, body *ast.BlockStmt
 		switch n := n.(type) {
 		case *ast.ExprStmt:
 			if call, isCall := n.X.(*ast.CallExpr); isCall {
-				if recv, method, ok := ls.lockCall(call); ok {
-					evts = append(evts, lockEvt{n.Pos(), n.End(), recv, method == "Unlock" || method == "RUnlock"})
+				if recv, unlock, ok := ls.lockCall(call); ok {
+					evts = append(evts, lockEvt{n.Pos(), n.End(), recv, unlock})
 				}
 			}
 		case *ast.DeferStmt:
 			// defer mu.Unlock() holds the lock for the rest of the
 			// function; model it as an unlock at body end.
-			if recv, method, ok := ls.lockCall(n.Call); ok && (method == "Unlock" || method == "RUnlock") {
+			if recv, unlock, ok := ls.lockCall(n.Call); ok && unlock {
 				evts = append(evts, lockEvt{body.End(), body.End(), recv, true})
 			}
 			return false
@@ -204,115 +177,21 @@ func selectHasDefault(s *ast.SelectStmt) bool {
 }
 
 func recvTypeName(fn *types.Func) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
+	recv := fn.Signature().Recv()
+	if recv == nil {
 		return ""
 	}
-	if named, ok := types.Unalias(derefType(sig.Recv().Type())).(*types.Named); ok {
+	if named, ok := types.Unalias(derefType(recv.Type())).(*types.Named); ok {
 		return named.Obj().Name()
 	}
 	return ""
 }
 
-// ---- sub-check 2: copies of lock-bearing values ----
-
-// lockInType returns the sync type name a by-value copy of t would copy,
-// or "".
-func lockInType(t types.Type) string {
-	return lockInTypeSeen(t, make(map[types.Type]bool))
-}
-
-func lockInTypeSeen(t types.Type, seen map[types.Type]bool) string {
-	if t == nil || seen[t] {
-		return ""
-	}
-	seen[t] = true
-	if named, ok := types.Unalias(t).(*types.Named); ok {
-		if pkg := named.Obj().Pkg(); pkg != nil && pkg.Path() == "sync" && noCopySyncTypes[named.Obj().Name()] {
-			return named.Obj().Name()
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if name := lockInTypeSeen(u.Field(i).Type(), seen); name != "" {
-				return name
-			}
-		}
-	case *types.Array:
-		return lockInTypeSeen(u.Elem(), seen)
-	}
-	return ""
-}
-
-func (ls *locksafe) checkCopiedParams(recv *ast.FieldList, ft *ast.FuncType) {
-	check := func(fl *ast.FieldList, what string) {
-		if fl == nil {
-			return
-		}
-		for _, f := range fl.List {
-			tv, ok := ls.p.TypesInfo.Types[f.Type]
-			if !ok {
-				continue
-			}
-			if _, isPtr := tv.Type.Underlying().(*types.Pointer); isPtr {
-				continue
-			}
-			if name := lockInType(tv.Type); name != "" {
-				ls.p.Reportf(f.Type.Pos(), "%s passes a value containing sync.%s by copy — pass a pointer", what, name)
-			}
-		}
-	}
-	check(recv, "receiver")
-	check(ft.Params, "parameter")
-	check(ft.Results, "result")
-}
-
-// copiesLockValue reports whether assigning rhs copies an existing
-// lock-bearing value (dereference, variable, field, or index read —
-// composite literals and calls construct fresh values).
-func (ls *locksafe) copiesLockValue(rhs ast.Expr) string {
-	switch ast.Unparen(rhs).(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
-	default:
-		return ""
-	}
-	tv, ok := ls.p.TypesInfo.Types[rhs]
-	if !ok {
-		return ""
-	}
-	return lockInType(tv.Type)
-}
-
-func (ls *locksafe) checkCopyAssign(n *ast.AssignStmt) {
-	for _, rhs := range n.Rhs {
-		if name := ls.copiesLockValue(rhs); name != "" {
-			ls.p.Reportf(rhs.Pos(), "assignment copies a value containing sync.%s — use a pointer", name)
-		}
-	}
-}
-
-func (ls *locksafe) checkCopyRange(n *ast.RangeStmt) {
-	if n.Value == nil {
-		return
-	}
-	tv, ok := ls.p.TypesInfo.Types[n.Value]
-	if !ok {
-		return
-	}
-	if name := lockInType(tv.Type); name != "" {
-		ls.p.Reportf(n.Value.Pos(), "range copies a value containing sync.%s per iteration — range over indices instead", name)
-	}
-}
-
-// ---- sub-check 3: fields accessed both atomically and plainly ----
+// ---- sub-check 2: fields accessed both atomically and plainly ----
 
 func (ls *locksafe) checkMixedAtomicPlain() {
-	type access struct {
-		pos token.Pos
-	}
-	atomicFields := make(map[*types.Var][]access)
-	atomicArgPos := make(map[token.Pos]bool) // positions of &x.f args inside atomic calls
+	atomicFields := make(map[*types.Var]token.Pos) // field -> first atomic access
+	atomicArgPos := make(map[token.Pos]bool)       // positions of &x.f args inside atomic calls
 	fieldOf := func(e ast.Expr) *types.Var {
 		sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
 		if !ok {
@@ -330,8 +209,7 @@ func (ls *locksafe) checkMixedAtomicPlain() {
 			if !ok {
 				return true
 			}
-			path := ls.p.calleePath(call.Fun)
-			if len(path) < len("sync/atomic.") || path[:len("sync/atomic.")] != "sync/atomic." {
+			if !strings.HasPrefix(ls.p.calleePath(call.Fun), "sync/atomic.") {
 				return true
 			}
 			for _, arg := range call.Args {
@@ -340,7 +218,9 @@ func (ls *locksafe) checkMixedAtomicPlain() {
 					continue
 				}
 				if v := fieldOf(un.X); v != nil {
-					atomicFields[v] = append(atomicFields[v], access{un.X.Pos()})
+					if _, seen := atomicFields[v]; !seen {
+						atomicFields[v] = un.X.Pos()
+					}
 					atomicArgPos[un.X.Pos()] = true
 				}
 			}
@@ -363,16 +243,16 @@ func (ls *locksafe) checkMixedAtomicPlain() {
 			if v == nil {
 				return true
 			}
-			if sites, mixed := atomicFields[v]; mixed {
+			if first, mixed := atomicFields[v]; mixed {
 				ls.p.Reportf(sel.Pos(), "field %s is accessed atomically at %s but plainly here — mixed access is a data race",
-					v.Name(), ls.p.Fset.Position(sites[0].pos))
+					v.Name(), ls.p.Fset.Position(first))
 			}
 			return true
 		})
 	}
 }
 
-// ---- sub-check 4: goroutines calling unsynchronized shared methods ----
+// ---- sub-check 3: goroutines calling unsynchronized shared methods ----
 
 // synchronized reports whether fn's body (transitively through same-package
 // callees with known bodies) contains any synchronization: a sync or
@@ -392,38 +272,33 @@ func (ls *locksafe) synchronized(fn *types.Func) bool {
 		ls.syncMemo[fn] = 1
 		return true
 	}
-	found := false
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		if found {
-			return false
+	for n := range ast.Preorder(decl.Body) {
+		if ls.syncEvidence(fn, n) {
+			ls.syncMemo[fn] = 1
+			return true
 		}
-		switch n := n.(type) {
-		case *ast.SendStmt, *ast.SelectStmt:
-			found = true
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				found = true
-			}
-		case *ast.CallExpr:
-			if path := ls.p.calleePath(n.Fun); strings.HasPrefix(path, "sync.") || strings.HasPrefix(path, "sync/atomic.") {
-				found = true
-				return false
-			}
-			// Same-package callees with bodies propagate their evidence;
-			// bodiless callees deliberately don't (almost every function
-			// calls something cross-package).
-			if callee := ls.p.funcObjOf(n.Fun); callee != nil && callee != fn &&
-				ls.decls[callee] != nil && ls.synchronized(callee) {
-				found = true
-				return false
-			}
-		}
-		return true
-	})
-	if found {
-		ls.syncMemo[fn] = 1
 	}
-	return found
+	return false
+}
+
+// syncEvidence reports whether node n of fn's body synchronizes.
+func (ls *locksafe) syncEvidence(fn *types.Func, n ast.Node) bool {
+	switch n := n.(type) {
+	case *ast.SendStmt, *ast.SelectStmt:
+		return true
+	case *ast.UnaryExpr:
+		return n.Op == token.ARROW
+	case *ast.CallExpr:
+		if path := ls.p.calleePath(n.Fun); strings.HasPrefix(path, "sync.") || strings.HasPrefix(path, "sync/atomic.") {
+			return true
+		}
+		// Same-package callees with bodies propagate their evidence;
+		// bodiless callees deliberately don't (almost every function
+		// calls something cross-package).
+		callee := ls.p.funcObjOf(n.Fun)
+		return callee != nil && callee != fn && ls.decls[callee] != nil && ls.synchronized(callee)
+	}
+	return false
 }
 
 func (ls *locksafe) checkGoroutineCalls(g *ast.GoStmt) {
@@ -513,11 +388,11 @@ func (ls *locksafe) indexSharded(lit *ast.FuncLit, e ast.Expr) bool {
 }
 
 func isPointerReceiverMethod(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
+	recv := fn.Signature().Recv()
+	if recv == nil {
 		return false
 	}
-	_, isPtr := sig.Recv().Type().Underlying().(*types.Pointer)
+	_, isPtr := recv.Type().Underlying().(*types.Pointer)
 	return isPtr
 }
 

@@ -1,7 +1,7 @@
 // Package locksafe exercises the locksafe analyzer: locks held across
-// blocking operations, copies of lock-bearing values, mixed atomic/plain
-// field access, and goroutines calling unsynchronized methods on shared
-// state — plus //querc:allow-race suppression of each.
+// blocking operations, mixed atomic/plain field access, and goroutines
+// calling unsynchronized methods on shared state — plus //querc:allow-race
+// suppression on a line and across a whole function.
 package locksafe
 
 import (
@@ -47,19 +47,14 @@ func allowedHold(c *counter, ch chan int) {
 	c.mu.Unlock()
 }
 
-func copiesByValue(c counter) int { // want "passes a value containing sync.Mutex by copy"
-	return c.n
-}
-
-func copiesByAssign(c *counter) {
-	dup := *c // want "assignment copies a value containing sync.Mutex"
-	_ = dup.n
-}
-
-//querc:allow-race snapshot copy is deliberate here
-func allowedCopy(c *counter) {
-	dup := *c // suppressed by the function-level directive
-	_ = dup.n
+// allowedHoldFunc waits for a lifecycle handshake with the lock held.
+//
+//querc:allow-race the handshake holds the lock on purpose
+func allowedHoldFunc(c *counter, ch chan int) {
+	c.mu.Lock()
+	c.n++
+	<-ch // suppressed by the directive in the function's doc comment
+	c.mu.Unlock()
 }
 
 type stats struct {

@@ -1,35 +1,26 @@
-// The docs-coverage check: every package in this module — the facade, every
-// package under internal/ and cmd/, and the runnable examples — must carry a
-// package-level doc comment. godoc is the contract each PR leaves for the
-// next one, so a missing package comment fails CI (the workflow runs this
-// test as an explicit step).
-//
-// The judgement itself lives in the pkgdoc analyzer (internal/lint), where
-// querclint also applies it package-by-package; this test is the thin
-// module-wide wrapper that keeps the check in plain `go test` runs.
+// The docs-coverage check: every package in this repository — the facade,
+// every package under internal/ and cmd/, the runnable examples, and the
+// bench/ harness module — must carry a package-level doc comment. godoc is
+// the contract each change leaves for the next one, so a missing package
+// comment fails `go test ./...`.
 package querc_test
 
 import (
-	"go/ast"
 	"go/parser"
 	"go/token"
-	"go/types"
 	"io/fs"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
-
-	"querc/internal/lint"
 )
 
-// TestPackageDocComments walks the module and runs the pkgdoc analyzer over
-// every package directory, asserting a package doc comment exists in at
-// least one non-test file (the comment group immediately above the package
-// clause, per the go/doc convention).
+// TestPackageDocComments walks the repository and asserts that every
+// package directory has a package doc comment (the comment group
+// immediately above the package clause, per the go/doc convention) in at
+// least one non-test file.
 func TestPackageDocComments(t *testing.T) {
-	pkgFiles := map[string][]string{} // package dir -> non-test .go files
+	documented := map[string]bool{} // package dir -> has a doc comment
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -44,42 +35,29 @@ func TestPackageDocComments(t *testing.T) {
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.PackageClauseOnly|parser.ParseComments)
+		if err != nil {
+			return err
+		}
 		dir := filepath.Dir(path)
-		pkgFiles[dir] = append(pkgFiles[dir], path)
+		documented[dir] = documented[dir] || (f.Doc != nil && strings.TrimSpace(f.Doc.Text()) != "")
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pkgFiles) < 20 {
-		t.Fatalf("walked only %d packages — is the check running from the module root?", len(pkgFiles))
+	if len(documented) < 20 {
+		t.Fatalf("walked only %d packages — is the check running from the module root?", len(documented))
 	}
 
-	dirs := make([]string, 0, len(pkgFiles))
-	for dir := range pkgFiles {
+	dirs := make([]string, 0, len(documented))
+	for dir := range documented {
 		dirs = append(dirs, dir)
 	}
 	sort.Strings(dirs)
 	for _, dir := range dirs {
-		fset := token.NewFileSet()
-		var files []*ast.File
-		var pkgName string
-		for _, file := range pkgFiles[dir] {
-			src, err := os.ReadFile(file)
-			if err != nil {
-				t.Fatal(err)
-			}
-			f, err := parser.ParseFile(fset, file, src, parser.PackageClauseOnly|parser.ParseComments)
-			if err != nil {
-				t.Fatalf("parse %s: %v", file, err)
-			}
-			pkgName = f.Name.Name
-			files = append(files, f)
-		}
-		pkg := types.NewPackage(dir, pkgName)
-		info := &types.Info{}
-		for _, d := range lint.Check(fset, files, pkg, info, dir, []*lint.Analyzer{lint.Pkgdoc}) {
-			t.Errorf("%s", d)
+		if !documented[dir] {
+			t.Errorf("%s: package has no package-level doc comment — add one (// Package name ...) to a non-test file", dir)
 		}
 	}
 }
