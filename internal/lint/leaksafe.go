@@ -193,9 +193,10 @@ func loopHasStopSignal(p *Pass, body *ast.BlockStmt) bool {
 				}
 			}
 		case *ast.CallExpr:
-			// sync.Cond.Wait parks the goroutine under a waiter registry
-			// (the dispatcher's worker loop); it is a retirement point.
-			if fn := p.calleeFunc(n.Fun); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "sync" && fn.Name() == "Wait" {
+			// (*sync.Cond).Wait parks the goroutine under a waiter registry
+			// (the dispatcher's worker loop); it is a retirement point. A
+			// WaitGroup.Wait in a loop retires nothing.
+			if p.calleePath(n.Fun) == "sync.Cond.Wait" {
 				return true
 			}
 		}

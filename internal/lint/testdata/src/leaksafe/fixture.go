@@ -51,6 +51,26 @@ func counterDrainedPool(items []int, fn func(int)) {
 	wg.Wait()
 }
 
+func condParkedLoop(mu *sync.Mutex, cond *sync.Cond, work func()) {
+	go func() { // ok: cond.Wait parks the goroutine under a waiter registry
+		mu.Lock()
+		defer mu.Unlock()
+		for {
+			cond.Wait()
+			work()
+		}
+	}()
+}
+
+func waitGroupLoop(wg *sync.WaitGroup, work func()) {
+	go func() { // want "goroutine runs an unbounded loop with no stop channel"
+		for {
+			wg.Wait()
+			work()
+		}
+	}()
+}
+
 func allowedLoop(work func()) {
 	//querc:allow-leak process-lifetime daemon, retired with the process
 	go func() { // suppressed by the directive on the line above

@@ -2,9 +2,11 @@ package obs
 
 import (
 	"io"
+	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"unicode/utf8"
 )
 
 // AuditEvent is one structured record in the audit stream: a query that
@@ -79,25 +81,25 @@ func appendAuditJSON(buf []byte, ev *AuditEvent) []byte {
 	buf = append(buf, `{"ts":`...)
 	buf = strconv.AppendInt(buf, ev.TimeUnixNano, 10)
 	buf = append(buf, `,"app":`...)
-	buf = strconv.AppendQuote(buf, ev.App)
+	buf = appendJSONString(buf, ev.App)
 	buf = append(buf, `,"sql":`...)
-	buf = strconv.AppendQuote(buf, ev.SQL)
+	buf = appendJSONString(buf, ev.SQL)
 	buf = append(buf, `,"outcome":`...)
-	buf = strconv.AppendQuote(buf, ev.Outcome)
+	buf = appendJSONString(buf, ev.Outcome)
 	if ev.Class != "" {
 		buf = append(buf, `,"class":`...)
-		buf = strconv.AppendQuote(buf, ev.Class)
+		buf = appendJSONString(buf, ev.Class)
 	}
 	if ev.SLAClass != "" {
 		buf = append(buf, `,"slaClass":`...)
-		buf = strconv.AppendQuote(buf, ev.SLAClass)
+		buf = appendJSONString(buf, ev.SLAClass)
 	}
 	if ev.Backend != "" {
 		buf = append(buf, `,"backend":`...)
-		buf = strconv.AppendQuote(buf, ev.Backend)
+		buf = appendJSONString(buf, ev.Backend)
 	}
 	buf = append(buf, `,"latencyMS":`...)
-	buf = strconv.AppendFloat(buf, ev.LatencyMS, 'f', 3, 64)
+	buf = appendMillis(buf, ev.LatencyMS)
 	if ev.Attempts != 0 {
 		buf = append(buf, `,"attempts":`...)
 		buf = strconv.AppendInt(buf, int64(ev.Attempts), 10)
@@ -107,10 +109,76 @@ func appendAuditJSON(buf []byte, ev *AuditEvent) []byte {
 	}
 	if ev.Err != "" {
 		buf = append(buf, `,"err":`...)
-		buf = strconv.AppendQuote(buf, ev.Err)
+		buf = appendJSONString(buf, ev.Err)
 	}
 	buf = append(buf, '}', '\n')
 	return buf
+}
+
+const hexDigits = "0123456789abcdef"
+
+// appendJSONString appends s as a JSON string literal. Runs of bytes that
+// need no escaping are copied with one append; only '"', '\\', control
+// bytes, invalid UTF-8 (as \ufffd, which is what encoding/json decodes it
+// to) and U+2028/U+2029 (which break JavaScript embedding) are escaped.
+// strconv.Quote is not a substitute: its \x and \a escapes are not JSON.
+func appendJSONString(buf []byte, s string) []byte {
+	buf = append(buf, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' {
+				i++
+				continue
+			}
+			buf = append(buf, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				buf = append(buf, '\\', c)
+			case '\n':
+				buf = append(buf, '\\', 'n')
+			case '\r':
+				buf = append(buf, '\\', 'r')
+			case '\t':
+				buf = append(buf, '\\', 't')
+			default:
+				buf = append(buf, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if (r == utf8.RuneError && size == 1) || r == '\u2028' || r == '\u2029' {
+			buf = append(buf, s[start:i]...)
+			buf = append(buf, '\\', 'u', hexDigits[r>>12], hexDigits[r>>8&0xf], hexDigits[r>>4&0xf], hexDigits[r&0xf])
+			start = i + size
+		}
+		i += size
+	}
+	buf = append(buf, s[start:]...)
+	return append(buf, '"')
+}
+
+// appendMillis appends a millisecond value with three decimals (microsecond
+// resolution) as an integer count of microseconds split at the decimal
+// point, which is exact and avoids strconv's slow fixed-precision path. It
+// matches strconv.AppendFloat(buf, ms, 'f', 3, 64) except that an exact
+// half-microsecond tie may round the other way; values too large for int64
+// microseconds (and NaN/Inf) take the strconv path.
+func appendMillis(buf []byte, ms float64) []byte {
+	if !(math.Abs(ms) < 1e15) {
+		return strconv.AppendFloat(buf, ms, 'f', 3, 64)
+	}
+	if math.Signbit(ms) {
+		buf = append(buf, '-')
+		ms = -ms
+	}
+	us := int64(math.Round(ms * 1000))
+	buf = strconv.AppendInt(buf, us/1000, 10)
+	frac := us % 1000
+	return append(buf, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
 }
 
 // flushLocked writes the buffer through. Callers hold a.mu.

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"querc/internal/core"
@@ -234,8 +235,12 @@ type Dispatcher struct {
 	inflight int
 	// Terminal deliveries (audit event + OnDone) still running after the
 	// counters dropped: Drain waits for these too, so the audit stream and
-	// OnDone tallies are complete when it returns.
-	termPending int
+	// OnDone tallies are complete when it returns. The delivering goroutine
+	// decrements without the lock and takes it to wake Drain only when the
+	// count reaches zero while a Drain waits (drainers > 0, set under mu
+	// before Drain reads the count).
+	termPending atomic.Int64
+	drainers    atomic.Int32
 
 	retryRNG       *rand.Rand               // jitter source, guarded by mu
 	retryTimers    map[*retryEntry]struct{} // parked retries; membership decides the timer-vs-Close race
@@ -433,7 +438,8 @@ func (d *Dispatcher) Enqueue(q *core.LabeledQuery) error {
 		t.ExecDeadline = now.Add(d.deadline)
 	}
 	if d.planeOn {
-		t.state = &taskState{outstanding: 1}
+		t.own.outstanding = 1
+		t.state = &t.own
 	}
 
 	d.mu.Lock()
@@ -616,7 +622,9 @@ func (d *Dispatcher) pushLocked(t *Task) {
 	if len(bucket) < cap(bucket) {
 		bucket = bucket[:len(bucket)+1]
 	} else {
-		grown := make([]*Task, len(bucket)+1, 2*cap(bucket)+8)
+		// Grow from len, not cap: pops reslice the front away, so cap
+		// shrinks with them and a reallocation comes once per ~len pops.
+		grown := make([]*Task, len(bucket)+1, 2*len(bucket)+8)
 		copy(grown, bucket)
 		bucket = grown
 	}
@@ -627,21 +635,27 @@ func (d *Dispatcher) pushLocked(t *Task) {
 }
 
 // removeLocked removes and returns the task at idx of the given affinity
-// bucket.
+// bucket. Popping the head — the common case — reslices in O(1); an empty
+// bucket keeps its backing array from the current window start, so a queue
+// that drains and refills reuses it. Empty buckets stay in the map: their
+// keys are bounded by the backends plus "" (pushLocked never sees an
+// unroutable affinity).
 func (d *Dispatcher) removeLocked(q *classQueue, aff string, idx int) *Task {
 	bucket := q.byAff[aff]
 	t := bucket[idx]
-	if len(bucket) == 1 {
-		delete(q.byAff, aff)
-	} else {
-		// Compact instead of reslicing bucket[1:]: the reslice walks the
-		// live window down the backing array and leaks its front capacity,
-		// so steady pop/push traffic would force pushLocked to reallocate
-		// the bucket over and over.
+	switch {
+	case len(bucket) == 1:
+		bucket[0] = nil
+		bucket = bucket[:0]
+	case idx == 0:
+		bucket[0] = nil
+		bucket = bucket[1:]
+	default:
 		copy(bucket[idx:], bucket[idx+1:])
 		bucket[len(bucket)-1] = nil
-		q.byAff[aff] = bucket[:len(bucket)-1]
+		bucket = bucket[:len(bucket)-1]
 	}
+	q.byAff[aff] = bucket
 	q.n--
 	return t
 }
@@ -758,6 +772,9 @@ func (d *Dispatcher) shedForLocked(t *Task) *Task {
 		var victimAff string
 		var victim *Task
 		for aff, bucket := range q.byAff {
+			if len(bucket) == 0 {
+				continue
+			}
 			if last := bucket[len(bucket)-1]; victim == nil || d.policy.Less(victim, last) {
 				victim, victimAff = last, aff
 			}
@@ -766,11 +783,8 @@ func (d *Dispatcher) shedForLocked(t *Task) *Task {
 			return nil // incoming is least urgent in its own class
 		}
 		bucket := q.byAff[victimAff]
-		if len(bucket) == 1 {
-			delete(q.byAff, victimAff)
-		} else {
-			q.byAff[victimAff] = bucket[:len(bucket)-1]
-		}
+		bucket[len(bucket)-1] = nil
+		q.byAff[victimAff] = bucket[:len(bucket)-1]
 		q.n--
 		d.backlog--
 		return victim
@@ -847,25 +861,25 @@ func (d *Dispatcher) worker(b *backend) {
 			b.br.probing++
 			probe = true
 		}
-		cancelID := d.armAttemptLocked(t)
+		ctx := d.armAttemptLocked(t)
 		d.maybeHedgeLocked(t, b)
 		d.mu.Unlock()
 
 		t.Started = time.Now()
 		t.RanOn = b.name
 		err := b.exec(t)
-		d.completeAttempt(t, b, err, time.Now(), probe, cancelID)
+		d.completeAttempt(t, b, err, time.Now(), probe, ctx)
 	}
 }
 
 // armAttemptLocked builds the attempt's execution context — cancelled at
 // min(ExecDeadline, now+AttemptTimeout), or by the winning sibling of a
-// hedge race — registers its cancel on the shared state, and returns the
-// registration id (0 when no context is needed).
-func (d *Dispatcher) armAttemptLocked(t *Task) int {
+// hedge race — registers it on the shared state, and returns it (nil when no
+// context is needed).
+func (d *Dispatcher) armAttemptLocked(t *Task) *attemptCtx {
 	st := t.state
 	if st == nil {
-		return 0
+		return nil
 	}
 	deadline := t.ExecDeadline
 	if d.retry != nil && d.retry.AttemptTimeout > 0 {
@@ -875,17 +889,12 @@ func (d *Dispatcher) armAttemptLocked(t *Task) int {
 	}
 	hedgeable := d.hedge != nil && len(d.names) > 1
 	if deadline.IsZero() && !hedgeable {
-		return 0
+		return nil
 	}
-	var ctx context.Context
-	var cancel context.CancelFunc
-	if deadline.IsZero() {
-		ctx, cancel = context.WithCancel(context.Background())
-	} else {
-		ctx, cancel = context.WithDeadline(context.Background(), deadline)
-	}
+	ctx := &attemptCtx{deadline: deadline}
 	t.ctx = ctx
-	return st.addCancel(cancel)
+	st.addCancel(ctx)
+	return ctx
 }
 
 // maybeHedgeLocked arms the hedge timer for a freshly dispatched attempt:
@@ -959,7 +968,7 @@ func (d *Dispatcher) fireHedge(he *hedgeEntry) {
 // completeAttempt settles one executed attempt: release the slot, record
 // backend health, then decide the outcome — deliver success, schedule a
 // retry, wait on a live sibling, or fail terminally.
-func (d *Dispatcher) completeAttempt(t *Task, b *backend, err error, finished time.Time, probe bool, cancelID int) {
+func (d *Dispatcher) completeAttempt(t *Task, b *backend, err error, finished time.Time, probe bool, ctx *attemptCtx) {
 	t.Finished = finished
 	attemptMS := float64(finished.Sub(t.Started)) / float64(time.Millisecond)
 	d.mu.Lock()
@@ -968,10 +977,9 @@ func (d *Dispatcher) completeAttempt(t *Task, b *backend, err error, finished ti
 	b.memUsed -= t.MemMB
 	b.actualUsed -= t.ActualMemMB
 	st := t.state
-	if st != nil && cancelID != 0 {
-		if cancel := st.dropCancel(cancelID); cancel != nil {
-			cancel()
-		}
+	if ctx != nil {
+		st.dropCancel(ctx)
+		ctx.cancel(context.Canceled)
 	}
 	d.recordHealthLocked(b, err == nil, attemptMS, probe)
 	if st != nil && st.done {
@@ -1068,7 +1076,7 @@ func (d *Dispatcher) finishLocked(t *Task, b *backend, err error) {
 	done := d.onDone
 	deliver := done != nil || d.audit != nil
 	if deliver {
-		d.termPending++
+		d.termPending.Add(1)
 	}
 	d.mu.Unlock()
 	if !deliver {
@@ -1078,12 +1086,11 @@ func (d *Dispatcher) finishLocked(t *Task, b *backend, err error) {
 	if done != nil {
 		done(t)
 	}
-	d.mu.Lock()
-	d.termPending--
-	if d.waiting > 0 {
+	if d.termPending.Add(-1) == 0 && d.drainers.Load() > 0 {
+		d.mu.Lock()
 		d.cond.Broadcast()
+		d.mu.Unlock()
 	}
-	d.mu.Unlock()
 }
 
 // recordHealthLocked folds one attempt's outcome into the backend's breaker:
@@ -1095,7 +1102,6 @@ func (d *Dispatcher) recordHealthLocked(b *backend, ok bool, latMS float64, prob
 		return
 	}
 	br.observe(ok, latMS)
-	now := time.Now()
 	if probe {
 		br.probing--
 		if br.state == stateHalfOpen {
@@ -1105,19 +1111,20 @@ func (d *Dispatcher) recordHealthLocked(b *backend, ok bool, latMS float64, prob
 					br.close()
 				}
 			} else {
-				d.openBreakerLocked(b, now)
+				d.openBreakerLocked(b)
 			}
 		}
 		return
 	}
 	if br.state == stateClosed && br.shouldTrip() {
-		d.openBreakerLocked(b, now)
+		d.openBreakerLocked(b)
 	}
 }
 
 // openBreakerLocked trips b's breaker and schedules a wake-up at the end of
 // the open window so parked workers re-run pickLocked and start probing.
-func (d *Dispatcher) openBreakerLocked(b *backend, now time.Time) {
+func (d *Dispatcher) openBreakerLocked(b *backend) {
+	now := time.Now()
 	until := b.br.open(now)
 	time.AfterFunc(until.Sub(now)+time.Millisecond, func() {
 		d.mu.Lock()
@@ -1230,7 +1237,11 @@ func (d *Dispatcher) Drain(timeout time.Duration) error {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for d.backlog > 0 || d.inflight > 0 || d.pendingRetries > 0 || d.termPending > 0 {
+	// Announce the wait before reading termPending: a delivery that drops it
+	// to zero after this read then sees drainers > 0 and broadcasts.
+	d.drainers.Add(1)
+	defer d.drainers.Add(-1)
+	for d.backlog > 0 || d.inflight > 0 || d.pendingRetries > 0 || d.termPending.Load() > 0 {
 		if !deadline.IsZero() && !time.Now().Before(deadline) {
 			return fmt.Errorf("sched: drain timed out with %d queued, %d in flight, %d retries pending",
 				d.backlog, d.inflight, d.pendingRetries)

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"sync"
 	"time"
 )
 
@@ -134,7 +135,8 @@ func isPermanent(err error) bool {
 
 // taskState is the completion state shared by every attempt of one admitted
 // query — the original, its retries, and its hedge clone all point at the
-// same instance. All fields are guarded by the dispatcher mutex.
+// same instance, which lives inline in the original Task. All fields are
+// guarded by the dispatcher mutex.
 type taskState struct {
 	// outstanding counts live attempts: queued, executing, or parked in a
 	// retry backoff. The attempt that drops it to zero without a success
@@ -150,45 +152,123 @@ type taskState struct {
 	hedged bool
 	// hedge is the armed-but-unfired hedge timer, cleared on completion.
 	hedge *hedgeEntry
-	// cancels holds the cancel funcs of currently-executing attempts so the
-	// winner can cancel the losers.
-	cancels []attemptCancel
-	nextID  int
+	// cancels holds the contexts of currently-executing attempts so the
+	// winner can cancel the losers. At most the original and its one hedge
+	// execute at once, so cancelBuf backs it without allocating.
+	cancels   []*attemptCtx
+	cancelBuf [2]*attemptCtx
 }
 
-type attemptCancel struct {
-	id int
-	fn context.CancelFunc
+// addCancel registers a running attempt's context.
+func (st *taskState) addCancel(c *attemptCtx) {
+	if st.cancels == nil {
+		st.cancels = st.cancelBuf[:0]
+	}
+	st.cancels = append(st.cancels, c)
 }
 
-// addCancel registers a running attempt's cancel and returns its slot id.
-func (st *taskState) addCancel(fn context.CancelFunc) int {
-	st.nextID++
-	st.cancels = append(st.cancels, attemptCancel{id: st.nextID, fn: fn})
-	return st.nextID
-}
-
-// dropCancel removes the given attempt's cancel registration and returns the
-// cancel func (nil when a cancelAll already consumed it) — the caller calls
-// it to release the context's deadline timer.
-func (st *taskState) dropCancel(id int) context.CancelFunc {
-	for i, c := range st.cancels {
-		if c.id == id {
-			st.cancels[i] = st.cancels[len(st.cancels)-1]
-			st.cancels = st.cancels[:len(st.cancels)-1]
-			return c.fn
+// dropCancel removes the given attempt's registration (a no-op when a
+// cancelAll already consumed it).
+func (st *taskState) dropCancel(c *attemptCtx) {
+	for i, x := range st.cancels {
+		if x == c {
+			last := len(st.cancels) - 1
+			st.cancels[i] = st.cancels[last]
+			st.cancels[last] = nil
+			st.cancels = st.cancels[:last]
+			return
 		}
 	}
-	return nil
 }
 
 // cancelAll cancels every still-registered attempt — the winner telling the
 // losers to stop burning a slot.
 func (st *taskState) cancelAll() {
-	for _, c := range st.cancels {
-		c.fn()
+	for i, c := range st.cancels {
+		c.cancel(context.Canceled)
+		st.cancels[i] = nil
 	}
 	st.cancels = st.cancels[:0]
+}
+
+// attemptCtx is one attempt's execution context: cancelled at its deadline
+// (min of the query's ExecDeadline and the attempt timeout, zero for none) or
+// by the winning sibling of a hedge race. Unlike context.WithDeadline it arms
+// no runtime timer until an executor actually watches Done, so the common
+// attempt that finishes without looking costs one small allocation; Err
+// still reports DeadlineExceeded once the deadline has passed.
+type attemptCtx struct {
+	deadline time.Time
+
+	mu    sync.Mutex
+	done  chan struct{} // made by the first Done call
+	timer *time.Timer   // deadline timer, armed by the first Done call
+	err   error
+}
+
+func (c *attemptCtx) Deadline() (time.Time, bool) { return c.deadline, !c.deadline.IsZero() }
+
+func (c *attemptCtx) Value(any) any { return nil }
+
+// Done returns the cancellation channel, making it (and arming the deadline
+// timer) on the first call.
+func (c *attemptCtx) Done() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.done != nil {
+		return c.done
+	}
+	c.done = make(chan struct{})
+	c.expireLocked()
+	if c.err != nil {
+		close(c.done)
+	} else if !c.deadline.IsZero() {
+		c.timer = time.AfterFunc(time.Until(c.deadline), func() { c.cancel(context.DeadlineExceeded) })
+	}
+	return c.done
+}
+
+// Err returns nil until the context is cancelled or its deadline passes.
+func (c *attemptCtx) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err == nil {
+		c.expireLocked()
+		if c.err != nil && c.done != nil {
+			c.closeLocked()
+		}
+	}
+	return c.err
+}
+
+// expireLocked records DeadlineExceeded once the deadline has passed.
+func (c *attemptCtx) expireLocked() {
+	if c.err == nil && !c.deadline.IsZero() && !time.Now().Before(c.deadline) {
+		c.err = context.DeadlineExceeded
+	}
+}
+
+// cancel ends the context with err (the first cause wins), closing Done and
+// releasing the deadline timer if anyone watches it. Idempotent.
+func (c *attemptCtx) cancel(err error) {
+	c.mu.Lock()
+	if c.err == nil {
+		c.err = err
+		if c.done != nil {
+			c.closeLocked()
+		}
+	}
+	c.mu.Unlock()
+}
+
+// closeLocked closes the watched Done channel and stops its timer; callers
+// have just set err, so the channel is closed exactly once.
+func (c *attemptCtx) closeLocked() {
+	close(c.done)
+	if c.timer != nil {
+		c.timer.Stop()
+		c.timer = nil
+	}
 }
 
 // retryEntry is one parked retry: the task plus the backoff timer that will

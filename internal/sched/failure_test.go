@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -570,4 +571,115 @@ func TestFailurePlaneOffKeepsOldSemantics(t *testing.T) {
 	if !sawErr {
 		t.Error("OnDone never saw the failed task")
 	}
+}
+
+// TestAttemptContext pins the lazy attempt context: its deadline is
+// reported and enforced by Err without anyone watching Done, Done closes at
+// the deadline once watched, a context cancelled before Done is first called
+// hands back a closed channel, and a hedge winner cancels the losing attempt
+// with context.Canceled.
+func TestAttemptContext(t *testing.T) {
+	t.Run("deadline", func(t *testing.T) {
+		dl := time.Now().Add(time.Hour)
+		c := &attemptCtx{deadline: dl}
+		if got, ok := c.Deadline(); !ok || !got.Equal(dl) {
+			t.Fatalf("Deadline() = %v, %v; want %v, true", got, ok, dl)
+		}
+		if _, ok := (&attemptCtx{}).Deadline(); ok {
+			t.Fatal("a context with no deadline reports one")
+		}
+		if err := c.Err(); err != nil {
+			t.Fatalf("Err() before the deadline = %v, want nil", err)
+		}
+	})
+	t.Run("err past deadline, Done never called", func(t *testing.T) {
+		c := &attemptCtx{deadline: time.Now().Add(-time.Millisecond)}
+		if err := c.Err(); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("Err() past the deadline = %v, want DeadlineExceeded", err)
+		}
+		select {
+		case <-c.Done():
+		default:
+			t.Fatal("Done() after an expired Err() is open")
+		}
+	})
+	t.Run("done closes at deadline once watched", func(t *testing.T) {
+		c := &attemptCtx{deadline: time.Now().Add(20 * time.Millisecond)}
+		done := c.Done()
+		if c.Done() != done {
+			t.Fatal("Done() returned a different channel on the second call")
+		}
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("Done() never closed at the deadline")
+		}
+		if err := c.Err(); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("Err() after Done closed = %v, want DeadlineExceeded", err)
+		}
+		c.cancel(context.Canceled) // releases nothing twice, keeps the first cause
+		if err := c.Err(); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("Err() after a late cancel = %v, want DeadlineExceeded kept", err)
+		}
+	})
+	t.Run("cancelled before Done", func(t *testing.T) {
+		c := &attemptCtx{deadline: time.Now().Add(time.Hour)}
+		c.cancel(context.Canceled)
+		select {
+		case <-c.Done():
+		default:
+			t.Fatal("Done() of a cancelled context is open")
+		}
+		if err := c.Err(); !errors.Is(err, context.Canceled) {
+			t.Fatalf("Err() = %v, want Canceled", err)
+		}
+	})
+	t.Run("derived context sees cancellation", func(t *testing.T) {
+		c := &attemptCtx{}
+		child, stop := context.WithCancel(c)
+		defer stop()
+		c.cancel(context.Canceled)
+		select {
+		case <-child.Done():
+		case <-time.After(10 * time.Second):
+			t.Fatal("a context derived from the attempt never saw its cancel")
+		}
+	})
+	t.Run("hedge winner cancels loser", func(t *testing.T) {
+		loserErr := make(chan error, 1)
+		exec := func(task *Task) error {
+			if task.Hedge {
+				return nil
+			}
+			<-task.Context().Done() // straggle until the hedge wins
+			loserErr <- task.Context().Err()
+			return task.Context().Err()
+		}
+		d, err := New(Config{
+			Backends: []Backend{{Name: "b1", Slots: 1, Exec: exec}, {Name: "b2", Slots: 1, Exec: exec}},
+			Deadline: time.Minute,
+			Hedge:    &HedgeConfig{After: 5 * time.Millisecond, Budget: 1, BudgetFloor: 8},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Enqueue(labeled("q1", "", "")); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-loserErr:
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("losing attempt's context ended with %v, want Canceled", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("the straggling original was never cancelled")
+		}
+		d.Close()
+		if err := d.Drain(30 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if st := d.Counters(); st.Completed != 1 || st.HedgeWins != 1 {
+			t.Fatalf("Completed=%d HedgeWins=%d, want 1/1", st.Completed, st.HedgeWins)
+		}
+	})
 }

@@ -83,8 +83,9 @@ type Task struct {
 
 	seq   uint64          // admission order, the FIFO and tie-break key
 	ctx   context.Context // per-attempt execution context, set at dispatch
-	state *taskState      // shared completion state across attempts
+	state *taskState      // shared completion state across attempts (&own, or the original's for a hedge)
 	avoid string          // backend this attempt prefers to avoid (hedge/retry steering)
+	own   taskState       // the state itself, inline so arming the failure plane costs no allocation
 }
 
 // Context returns the execution context of the task's current attempt.
